@@ -10,8 +10,6 @@ MutablePacket::MutablePacket(std::span<const std::uint8_t> frame)
   auto parsed = net::parse_packet(frame);
   if (!parsed.ok()) return;
   parsed_ = std::move(parsed).value();
-  payload_.assign(frame.begin() + static_cast<std::ptrdiff_t>(parsed_.payload_offset),
-                  frame.end());
   ok_ = true;
 }
 
@@ -105,7 +103,7 @@ std::size_t MutablePacket::wire_size() const noexcept {
   if (parsed_.tcp) n += net::TcpHeader::kMinSize;
   if (parsed_.udp) n += net::UdpHeader::kSize;
   if (parsed_.icmp) n += net::IcmpHeader::kSize;
-  return n + payload_.size();
+  return n + payload().size();
 }
 
 net::Bytes MutablePacket::serialize() const {
@@ -118,7 +116,7 @@ net::Bytes MutablePacket::serialize() const {
   if (parsed_.vlan) parsed_.vlan->serialize(w);
   if (parsed_.arp) {
     parsed_.arp->serialize(w);
-    w.bytes(payload_);
+    w.bytes(payload());
     return out;
   }
   if (parsed_.ipv4) {
@@ -129,7 +127,7 @@ net::Bytes MutablePacket::serialize() const {
     else if (parsed_.udp) l4 = net::UdpHeader::kSize;
     else if (parsed_.icmp) l4 = net::IcmpHeader::kSize;
     ip.total_length = static_cast<std::uint16_t>(net::Ipv4Header::kMinSize + l4 +
-                                                 payload_.size());
+                                                 payload().size());
     ip.serialize(w);  // serializes with fresh header checksum
 
     // L4 segment with pseudo-header checksum.
@@ -144,7 +142,7 @@ net::Bytes MutablePacket::serialize() const {
     } else if (parsed_.udp) {
       net::UdpHeader u = *parsed_.udp;
       u.checksum = 0;
-      u.length = static_cast<std::uint16_t>(net::UdpHeader::kSize + payload_.size());
+      u.length = static_cast<std::uint16_t>(net::UdpHeader::kSize + payload().size());
       u.serialize(sw);
       checksum_offset = 6;
     } else if (parsed_.icmp) {
@@ -153,7 +151,7 @@ net::Bytes MutablePacket::serialize() const {
       ic.serialize(sw);
       checksum_offset = 2;
     }
-    sw.bytes(payload_);
+    sw.bytes(payload());
     if (checksum_offset != SIZE_MAX) {
       const std::uint16_t sum =
           parsed_.icmp
@@ -169,14 +167,14 @@ net::Bytes MutablePacket::serialize() const {
     std::size_t l4 = 0;
     if (parsed_.tcp) l4 = net::TcpHeader::kMinSize;
     else if (parsed_.udp) l4 = net::UdpHeader::kSize;
-    ip6.payload_length = static_cast<std::uint16_t>(l4 + payload_.size());
+    ip6.payload_length = static_cast<std::uint16_t>(l4 + payload().size());
     ip6.serialize(w);
     if (parsed_.tcp) parsed_.tcp->serialize(w);
     else if (parsed_.udp) parsed_.udp->serialize(w);
-    w.bytes(payload_);
+    w.bytes(payload());
     return out;
   }
-  w.bytes(payload_);
+  w.bytes(payload());
   return out;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "net/packet.h"
 #include "openflow/actions.h"
@@ -16,8 +17,11 @@ namespace zen::dataplane {
 
 class MutablePacket {
  public:
-  // Parses `frame`; check ok() before use.
+  // Copies and parses `frame`; check ok() before use.
   explicit MutablePacket(std::span<const std::uint8_t> frame);
+  // Adopts a frame already parsed into `parsed` (no copy, no re-parse).
+  MutablePacket(net::Bytes frame, net::ParsedPacket parsed) noexcept
+      : parsed_(std::move(parsed)), original_(std::move(frame)), ok_(true) {}
 
   bool ok() const noexcept { return ok_; }
 
@@ -44,9 +48,14 @@ class MutablePacket {
   std::size_t wire_size() const noexcept;
 
  private:
+  // Bytes after the parsed headers (rewrites never touch them).
+  std::span<const std::uint8_t> payload() const noexcept {
+    return std::span<const std::uint8_t>(original_).subspan(
+        parsed_.payload_offset);
+  }
+
   net::ParsedPacket parsed_;
   net::Bytes original_;
-  net::Bytes payload_;
   bool ok_ = false;
   bool modified_ = false;
 };

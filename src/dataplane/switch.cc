@@ -317,11 +317,16 @@ void Switch::emit_to_port(PipelineContext& ctx, std::uint32_t port_no) {
     s.queue_id = ctx.queue_id;
     ctx.probe.add(std::move(s));
   }
-  ctx.result->outputs.push_back(Egress{port_no, ctx.queue_id, std::move(frame)});
-  if (!ctx.pkt->modified())
+  Egress& egress = ctx.result->outputs.emplace_back();
+  egress.port = port_no;
+  egress.queue_id = ctx.queue_id;
+  egress.frame = std::move(frame);
+  if (!ctx.pkt->modified()) {
+    if (ctx.meta) egress.meta = *ctx.meta;
     ctx.verdict.out_ports.push_back({port_no, ctx.queue_id});
-  else
+  } else {
     ctx.verdict.cacheable = false;
+  }
 }
 
 void Switch::execute_normal(PipelineContext& ctx) {
@@ -665,25 +670,42 @@ void Switch::run_pipeline(PipelineContext& ctx) {
 ForwardResult Switch::ingress(double now, std::uint32_t in_port,
                               std::span<const std::uint8_t> frame) {
   ForwardResult result;
+  ingress(now, in_port, net::Bytes(frame.begin(), frame.end()),
+          net::FrameMeta{}, result);
+  return result;
+}
+
+void Switch::ingress(double now, std::uint32_t in_port, net::Bytes frame,
+                     const net::FrameMeta& meta, ForwardResult& result) {
+  result.outputs.clear();
+  result.packet_in.reset();
+  result.dropped = false;
   result.in_port = in_port;
   shard_->bump(kSlotPackets);
 
   const auto port_it = ports_.find(in_port);
   if (port_it == ports_.end() || !port_it->second.desc.link_up) {
     result.dropped = true;
-    return result;
+    return;
   }
+  const std::size_t size = frame.size();
   ++port_it->second.stats.rx_packets;
-  port_it->second.stats.rx_bytes += frame.size();
+  port_it->second.stats.rx_bytes += size;
 
-  MutablePacket pkt(frame);
-  if (!pkt.ok()) {
+  // Parse once: a valid meta is the previous hop's parse of these bytes.
+  // A fresh parse is kept, in place, for the slow path's MutablePacket.
+  util::Result<net::ParsedPacket> parsed =
+      meta.valid ? util::Result<net::ParsedPacket>(util::Error{})
+                 : net::parse_packet(frame);
+  if (!meta.valid && !parsed.ok()) {
     ++port_it->second.stats.rx_dropped;
     result.dropped = true;
-    return result;
+    return;
   }
-
-  const net::FlowKey key = pkt.flow_key(in_port);
+  net::FrameMeta here =
+      meta.valid ? meta : net::FrameMeta::of(parsed.value(), in_port);
+  here.key.in_port = in_port;
+  const net::FlowKey& key = here.key;
 
   // Telemetry sampling decision — taken here, after the key is computed and
   // before the cache branch, so it covers fast and slow paths alike. When
@@ -692,7 +714,7 @@ ForwardResult Switch::ingress(double now, std::uint32_t in_port,
   const bool telemetry_stamp =
       telemetry_ != nullptr &&
       telemetry_->on_packet(static_cast<std::uint64_t>(now * 1e9), in_port,
-                            key, frame.size());
+                            key, size);
 
   // Fast path: megaflow cache. Concurrent mode pins an epoch guard so the
   // verdict pointer stays valid even if a racing version bump retires the
@@ -706,30 +728,18 @@ ForwardResult Switch::ingress(double now, std::uint32_t in_port,
     cached = cache_.find(key, version_);
   }
   if (const CachedVerdict* verdict = cached) {
-    bool metered_out = false;
     for (const std::uint32_t meter_id : verdict->meters) {
-      if (!meters_.allow(meter_id, frame.size(), now)) {
-        metered_out = true;
-        break;
+      if (!meters_.allow(meter_id, size, now)) {
+        result.dropped = true;
+        return;
       }
-    }
-    if (metered_out) {
-      result.dropped = true;
-      return result;
     }
     for (const auto& entry : verdict->credited) {
       entry->packet_count++;
-      entry->byte_count += frame.size();
+      entry->byte_count += size;
       entry->last_used_at = now;
     }
-    for (const auto& [out_port, queue_id] : verdict->out_ports) {
-      const auto it = ports_.find(out_port);
-      if (it == ports_.end() || !it->second.desc.link_up) continue;
-      ++it->second.stats.tx_packets;
-      it->second.stats.tx_bytes += frame.size();
-      result.outputs.push_back(
-          Egress{out_port, queue_id, net::Bytes(frame.begin(), frame.end())});
-    }
+    // The PacketIn and its buffer copy the frame before it moves on.
     if (verdict->to_controller && packet_in_bucket_ &&
         !packet_in_bucket_->try_consume(1.0, now)) {
       ++packet_in_suppressed_;
@@ -740,25 +750,52 @@ ForwardResult Switch::ingress(double now, std::uint32_t in_port,
       pin.table_id = verdict->controller_table;
       pin.cookie = verdict->controller_cookie;
       pin.in_port = in_port;
-      pin.total_len = static_cast<std::uint16_t>(frame.size());
-      pin.buffer_id = buffer_packet(net::Bytes(frame.begin(), frame.end()));
-      const std::size_t n =
-          std::min<std::size_t>(config_.packet_in_bytes, frame.size());
+      pin.total_len = static_cast<std::uint16_t>(size);
+      pin.buffer_id = buffer_packet(frame);
+      const std::size_t n = std::min<std::size_t>(config_.packet_in_bytes, size);
       pin.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
       result.packet_in = std::move(pin);
     }
+    for (const auto& [out_port, queue_id] : verdict->out_ports) {
+      const auto it = ports_.find(out_port);
+      if (it == ports_.end() || !it->second.desc.link_up) continue;
+      ++it->second.stats.tx_packets;
+      it->second.stats.tx_bytes += size;
+      Egress& egress = result.outputs.emplace_back();
+      egress.port = out_port;
+      egress.queue_id = queue_id;
+    }
+    // Every egress but the last gets a copy; the last takes the frame.
+    if (!result.outputs.empty()) {
+      for (std::size_t i = 0; i + 1 < result.outputs.size(); ++i)
+        result.outputs[i].frame = frame;
+      result.outputs.back().frame = std::move(frame);
+    }
     if (result.outputs.empty() && !result.packet_in) result.dropped = true;
-    if (telemetry_stamp)
-      for (Egress& egress : result.outputs)
+    for (Egress& egress : result.outputs) {
+      if (telemetry_stamp)
         net::append_telemetry_trailer(egress.frame);
-    return result;
+      else
+        egress.meta = here;
+    }
+    return;
   }
 
-  // Slow path: full pipeline.
+  // Slow path: full pipeline over a MutablePacket that adopts the frame.
+  if (!parsed.ok()) {
+    parsed = net::parse_packet(frame);
+    if (!parsed.ok()) {  // a stale meta: treat the frame as malformed
+      ++port_it->second.stats.rx_dropped;
+      result.dropped = true;
+      return;
+    }
+  }
+  MutablePacket pkt(std::move(frame), std::move(parsed).value());
   PipelineContext ctx;
   ctx.now = now;
   ctx.in_port = in_port;
   ctx.pkt = &pkt;
+  ctx.meta = telemetry_stamp ? nullptr : &here;
   ctx.result = &result;
   {
     obs::ScopedTimerNs timer(SwitchMetrics::get().lookup_ns);
@@ -773,7 +810,6 @@ ForwardResult Switch::ingress(double now, std::uint32_t in_port,
   if (telemetry_stamp)
     for (Egress& egress : result.outputs)
       net::append_telemetry_trailer(egress.frame);
-  return result;
 }
 
 ForwardResult Switch::explain(double now, std::uint32_t in_port,

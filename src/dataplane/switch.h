@@ -99,6 +99,9 @@ struct Egress {
   // Convention: 0 = best-effort (default), >= 1 = priority class.
   std::uint32_t queue_id = 0;
   net::Bytes frame;
+  // The ingress parse, still true of `frame` (valid only when no rewrite
+  // or telemetry trailer changed the bytes); the next hop reuses it.
+  net::FrameMeta meta;
 };
 
 struct ForwardResult {
@@ -133,8 +136,18 @@ class Switch {
   std::vector<openflow::PortDesc> ports() const;
 
   // ---- dataplane ----
+  // Copying entry point: ingress of a copy of `frame`, parsed here.
   ForwardResult ingress(double now, std::uint32_t in_port,
                         std::span<const std::uint8_t> frame);
+
+  // Owning hot path. Consumes `frame`; `meta`, when valid, is the parse of
+  // these bytes from the previous hop and is used instead of parsing. The
+  // verdict goes to `out`, which is reset first but keeps its capacity, so
+  // a caller that reuses it allocates nothing on a cache hit: the frame
+  // moves into the last egress and only the others (and a PacketIn or its
+  // buffer) get copies.
+  void ingress(double now, std::uint32_t in_port, net::Bytes frame,
+               const net::FrameMeta& meta, ForwardResult& out);
 
   // Dry-run pipeline walk (ofproto/trace analog): returns the exact
   // ForwardResult ingress() would produce for this frame right now, with
@@ -241,6 +254,10 @@ class Switch {
     std::uint32_t in_port = 0;
     std::uint32_t queue_id = 0;  // set by SetQueue, applies to later outputs
     MutablePacket* pkt = nullptr;
+    // Parse of the ingress frame, handed on with each egress the pipeline
+    // leaves unmodified. Null on packet-out, dry runs and sampled packets
+    // (their egresses get a telemetry trailer).
+    const net::FrameMeta* meta = nullptr;
     ForwardResult* result = nullptr;
     CachedVerdict verdict;  // built as we go; inserted on cacheable misses
     bool dropped = false;

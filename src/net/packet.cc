@@ -171,16 +171,14 @@ Bytes build_ipv4_frame(MacAddress eth_src, MacAddress eth_dst, Ipv4Address src,
                                                payload.size());
   ip.serialize(w);
 
-  // Build the L4 segment separately so the pseudo-header checksum can be
-  // computed over it, then patch it in.
-  Bytes segment;
-  segment.reserve(l4_size + payload.size());
-  util::ByteWriter sw(segment);
-  const std::size_t checksum_offset = write_l4(sw);
-  sw.bytes(payload);
-  const std::uint16_t sum = l4_checksum_ipv4(src, dst, protocol, segment);
-  if (checksum_offset != SIZE_MAX) sw.patch_u16(checksum_offset, sum);
-  w.bytes(segment);
+  // Write the L4 segment in place, then patch in the pseudo-header
+  // checksum computed over it.
+  const std::size_t l4_at = out.size();
+  const std::size_t checksum_offset = write_l4(w);
+  w.bytes(payload);
+  const std::uint16_t sum = l4_checksum_ipv4(
+      src, dst, protocol, std::span<const std::uint8_t>(out).subspan(l4_at));
+  if (checksum_offset != SIZE_MAX) w.patch_u16(l4_at + checksum_offset, sum);
   return out;
 }
 

@@ -45,6 +45,22 @@ struct ParsedPacket {
 // the corresponding optionals empty; truncated headers produce an error.
 util::Result<ParsedPacket> parse_packet(std::span<const std::uint8_t> frame);
 
+// Parse-once metadata a frame carries from hop to hop (the miniflow idea of
+// Open vSwitch): the flow key and L4 payload offset of the last successful
+// parse of exactly these bytes. A receiver overwrites only key.in_port.
+// Whoever changes the bytes (a rewrite action, a telemetry trailer) must
+// leave the copy it hands on invalid, so the next hop parses again.
+struct FrameMeta {
+  FlowKey key;
+  std::uint32_t payload_offset = 0;
+  bool valid = false;
+
+  static FrameMeta of(const ParsedPacket& p, std::uint32_t in_port) noexcept {
+    return FrameMeta{p.flow_key(in_port),
+                     static_cast<std::uint32_t>(p.payload_offset), true};
+  }
+};
+
 // ---- Builders -------------------------------------------------------------
 
 struct TcpSpec {

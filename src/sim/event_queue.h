@@ -3,9 +3,23 @@
 // Events at equal times fire in scheduling order (a monotonic sequence
 // number breaks ties), which keeps runs deterministic.
 //
+// Event records
+// -------------
+// The heap sifts 24-byte {at, seq, slot, kind} entries; what an event does
+// lives in a slab record the entry points at, so a sift never moves a
+// closure. Two record kinds:
+//
+//   closures — a std::function (timers, control-plane work);
+//   typed    — a (Handler*, arg) pair: POD, so scheduling one never
+//              allocates. The packet path (deliveries, link tx-complete)
+//              uses these; `arg` names the handler's own pooled record.
+//
+// Slab slots are recycled through free lists, so a warm queue allocates
+// nothing per event.
+//
 // Sharded events and the parallel slice
 // -------------------------------------
-// A *sharded* event is a two-phase callback keyed by the entity it touches
+// A *sharded* event is a two-phase event keyed by the entity it touches
 // (e.g. a packet delivery keyed by destination switch):
 //
 //   Compute — reads/writes only state owned by `key`'s shard. May not
@@ -28,6 +42,8 @@
 #include <functional>
 #include <vector>
 
+#include "obs/shard_stats.h"
+
 namespace zen::sim {
 
 class ParallelEngine;
@@ -38,6 +54,23 @@ class EventQueue {
 
   enum class Phase { kCompute, kApply };
   using PhasedCallback = std::function<void(Phase)>;
+
+  // Receiver of typed events. fire() runs a whole event; a sharded typed
+  // event inside a parallel slice runs compute() on its key's worker and
+  // apply() later on the coordinator, which must together equal fire().
+  class Handler {
+   public:
+    virtual void fire(std::uint32_t arg) = 0;
+    virtual void compute(std::uint32_t) {}
+    virtual void apply(std::uint32_t arg) { fire(arg); }
+
+   protected:
+    ~Handler() = default;
+  };
+
+  EventQueue();
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   double now() const noexcept { return now_; }
 
@@ -57,6 +90,12 @@ class EventQueue {
                            PhasedCallback fn) {
     schedule_sharded_at(now_ + delay, key, std::move(fn));
   }
+
+  // Typed counterparts: `handler.fire(arg)` at `at` (clamped to now). The
+  // handler must outlive the event.
+  void post_at(double at, Handler& handler, std::uint32_t arg);
+  void post_sharded_at(double at, std::uint64_t key, Handler& handler,
+                       std::uint32_t arg);
 
   // Installs (or clears, with nullptr) the worker pool used for sharded
   // slices. Borrowed pointer; the engine must outlive the queue's run.
@@ -84,21 +123,44 @@ class EventQueue {
   std::uint64_t parallel_events() const noexcept { return parallel_events_; }
 
  private:
-  struct Event {
+  enum class Kind : std::uint32_t { kClosure, kPhased, kTyped, kTypedSharded };
+  struct Entry {
     double at;
     std::uint64_t seq;
-    Callback fn;          // plain events
-    PhasedCallback phased; // sharded events (exactly one of fn/phased set)
-    std::uint64_t key = 0;
-    bool sharded() const noexcept { return static_cast<bool>(phased); }
+    std::uint32_t slot;
+    Kind kind;
+    bool sharded() const noexcept {
+      return kind == Kind::kPhased || kind == Kind::kTypedSharded;
+    }
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
+  struct Closure {
+    Callback fn;            // plain closures
+    PhasedCallback phased;  // sharded closures (exactly one is set)
+    std::uint64_t key = 0;
+  };
+  struct Typed {
+    Handler* handler = nullptr;
+    std::uint64_t key = 0;
+    std::uint32_t arg = 0;
+  };
+  // Records addressed by slot; released slots are reused first.
+  template <typename T>
+  struct Slab {
+    std::vector<T> items;
+    std::vector<std::uint32_t> free;
+    std::uint32_t put(T item);
+    T take(std::uint32_t slot);
+  };
 
+  void push(double at, std::uint32_t slot, Kind kind);
+  // Runs one popped event start to finish (both phases when sharded).
+  void run_inline(const Entry& e);
   // Pops the head dispatch unit (one plain event, or a sharded slice) and
   // runs it. Returns the number of events executed (0 when empty).
   std::size_t step_slice();
@@ -107,11 +169,13 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::uint64_t parallel_events_ = 0;
   ParallelEngine* engine_ = nullptr;
-  // A raw binary heap instead of std::priority_queue: top() is const there,
-  // which forces step() to *copy* the callback (and any captured packet
-  // buffers) out of the queue. pop_heap + move keeps delivery zero-copy.
-  std::vector<Event> heap_;
-  std::vector<Event> slice_;  // scratch for the current sharded slice
+  std::vector<Entry> heap_;  // binary min-heap under Later{}
+  Slab<Closure> closures_;
+  Slab<Typed> typed_;
+  std::vector<Entry> slice_;  // scratch for the current sharded slice
+  // Executed-event count, drained into zen_sim_events_total on snapshot
+  // (a plain store per event instead of a shared atomic RMW).
+  obs::ShardStats stats_;
 };
 
 }  // namespace zen::sim

@@ -13,14 +13,15 @@ namespace {
 // (a t=0 send is still a valid timestamp).
 constexpr std::uint8_t kTsMagic[4] = {'Z', 'E', 'N', 'T'};
 
-net::Bytes make_timestamped_payload(double now_s, std::size_t size) {
-  net::Bytes payload(std::max<std::size_t>(size, 12), 0);
+// Fills `payload` (reusing its capacity) with a timestamped payload.
+void fill_timestamped_payload(net::Bytes& payload, double now_s,
+                              std::size_t size) {
+  payload.assign(std::max<std::size_t>(size, 12), 0);
   std::copy(std::begin(kTsMagic), std::end(kTsMagic), payload.begin());
   const auto ns = static_cast<std::uint64_t>(now_s * 1e9);
   for (int i = 0; i < 8; ++i)
     payload[static_cast<std::size_t>(4 + i)] =
         static_cast<std::uint8_t>(ns >> (56 - 8 * i));
-  return payload;
 }
 
 std::optional<std::uint64_t> read_timestamp(
@@ -68,17 +69,17 @@ void SimHost::resolve_and_send(net::Ipv4Address dst, net::Bytes frame) {
 
 void SimHost::send_udp(net::Ipv4Address dst, std::uint16_t src_port,
                        std::uint16_t dst_port, std::size_t payload_size) {
-  const net::Bytes payload = make_timestamped_payload(now(), payload_size);
+  fill_timestamped_payload(payload_, now(), payload_size);
   net::Bytes frame = net::build_ipv4_udp(mac_, net::MacAddress{}, ip_, dst,
-                                         src_port, dst_port, payload);
+                                         src_port, dst_port, payload_);
   resolve_and_send(dst, std::move(frame));
 }
 
 void SimHost::send_tcp(net::Ipv4Address dst, const net::TcpSpec& spec,
                        std::size_t payload_size) {
-  const net::Bytes payload = make_timestamped_payload(now(), payload_size);
+  fill_timestamped_payload(payload_, now(), payload_size);
   net::Bytes frame =
-      net::build_ipv4_tcp(mac_, net::MacAddress{}, ip_, dst, spec, payload);
+      net::build_ipv4_tcp(mac_, net::MacAddress{}, ip_, dst, spec, payload_);
   resolve_and_send(dst, std::move(frame));
 }
 
@@ -91,13 +92,32 @@ void SimHost::send_icmp_echo(net::Ipv4Address dst, std::uint16_t seq) {
 
 void SimHost::send_raw(net::Bytes frame) { emit(std::move(frame)); }
 
-void SimHost::deliver(const net::Bytes& frame) {
+void SimHost::receive_udp(std::span<const std::uint8_t> payload) {
+  ++stats_.udp_received;
+  if (const auto sent_ns = read_timestamp(payload)) {
+    const double latency_s = now() - static_cast<double>(*sent_ns) * 1e-9;
+    if (latency_s >= 0) latency_us_.record(latency_s * 1e6);
+  }
+}
+
+void SimHost::deliver(const net::Bytes& frame, const net::FrameMeta& meta) {
   ++stats_.frames_received;
   static obs::Counter& received = obs::MetricsRegistry::global().counter(
       "zen_sim_host_frames_received_total", "",
       "Frames delivered to all hosts");
   received.inc();
   stats_.bytes_received += frame.size();
+
+  // Parse once: the fabric's flow key already says whether this is an
+  // IPv4 UDP datagram for us, and where its payload starts.
+  if (meta.valid && meta.key.eth_type == net::EtherType::kIpv4 &&
+      meta.key.ip_proto == net::IpProto::kUdp) {
+    const auto dst = net::MacAddress::from_u64(meta.key.eth_dst);
+    if (dst != mac_ && !dst.is_broadcast() && !dst.is_multicast()) return;
+    if (meta.key.ipv4_dst != ip_.value()) return;
+    receive_udp(std::span<const std::uint8_t>(frame).subspan(meta.payload_offset));
+    return;
+  }
 
   auto parsed = net::parse_packet(frame);
   if (!parsed.ok()) return;
@@ -148,11 +168,7 @@ void SimHost::deliver(const net::Bytes& frame) {
   const std::span<const std::uint8_t> payload{frame.data() + p.payload_offset,
                                               frame.size() - p.payload_offset};
   if (p.udp) {
-    ++stats_.udp_received;
-    if (const auto sent_ns = read_timestamp(payload)) {
-      const double latency_s = now() - static_cast<double>(*sent_ns) * 1e-9;
-      if (latency_s >= 0) latency_us_.record(latency_s * 1e6);
-    }
+    receive_udp(payload);
   } else if (p.tcp) {
     ++stats_.tcp_received;
     const auto sink = tcp_sinks_.find(p.tcp->dst_port);

@@ -69,7 +69,9 @@ class SimHost {
   void send_raw(net::Bytes frame);
 
   // ---- receiving (called by the network) ----
-  void deliver(const net::Bytes& frame);
+  // `meta`, when valid, is the fabric's parse of `frame`; a UDP datagram
+  // is then taken without parsing again.
+  void deliver(const net::Bytes& frame, const net::FrameMeta& meta = {});
 
   // ---- observability ----
   const HostStats& stats() const noexcept { return stats_; }
@@ -95,6 +97,7 @@ class SimHost {
 
  private:
   void resolve_and_send(net::Ipv4Address dst, net::Bytes frame_sans_eth_dst);
+  void receive_udp(std::span<const std::uint8_t> payload);
   void emit(net::Bytes frame);
   double now() const { return clock_ ? clock_() : 0; }
 
@@ -111,6 +114,7 @@ class SimHost {
 
   HostStats stats_;
   util::Histogram latency_us_;
+  net::Bytes payload_;  // send-side scratch, reused across datagrams
   std::unordered_map<std::uint16_t, TcpSink> tcp_sinks_;
 };
 

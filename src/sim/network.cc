@@ -80,19 +80,28 @@ SimNetwork::SimNetwork(topo::GeneratedTopo generated, SimOptions options)
     auto host = std::make_unique<SimHost>(att.host, host_mac(att.host),
                                           host_ip(att.host));
     SimHost* raw = host.get();
-    const topo::NodeId host_id = att.host;
+    const auto index = static_cast<std::uint32_t>(endpoints_.size());
     const std::uint32_t host_port = att.host_port;
     raw->bind(
-        [this, host_id, host_port](net::Bytes frame) {
-          transmit(host_id, host_port, std::move(frame));
+        [this, index, host_port](net::Bytes frame) {
+          transmit(index, host_port, Frame{std::move(frame), {}});
         },
         [this] { return now(); });
-    ip_to_host_.emplace(raw->ip(), host_id);
-    hosts_.emplace(host_id, std::move(host));
+    ip_to_host_.emplace(raw->ip(), att.host);
+    endpoint_index_.emplace(att.host, index);
+    Endpoint& ep = endpoints_.emplace_back();
+    ep.id = att.host;
+    ep.host = raw;
+    hosts_.emplace(att.host, std::move(host));
+  }
+  for (const topo::NodeId sw_id : gen_.switches) {
+    endpoint_index_.emplace(sw_id, static_cast<std::uint32_t>(endpoints_.size()));
+    Endpoint& ep = endpoints_.emplace_back();
+    ep.id = sw_id;
+    ep.sw = switches_.at(sw_id).get();
   }
 
-  for (const topo::Link* link : gen_.topo.links())
-    link_runtime_.try_emplace(link->id);
+  for (const topo::Link* link : gen_.topo.links()) index_link(*link);
 
   if (options_.expiry_interval_s > 0) schedule_expiry_sweep();
   if (options_.telemetry.enabled) configure_telemetry(options_.telemetry);
@@ -184,13 +193,45 @@ SimHost* SimNetwork::host_by_ip(net::Ipv4Address ip) noexcept {
   return it == ip_to_host_.end() ? nullptr : hosts_.at(it->second).get();
 }
 
-void SimNetwork::transmit(topo::NodeId from, std::uint32_t port,
-                          net::Bytes frame, std::uint32_t queue_id,
+void SimNetwork::index_link(const topo::Link& link) {
+  if (link_runtime_.size() <= link.id) link_runtime_.resize(link.id + 1);
+  LinkRuntime& runtime = link_runtime_[link.id];
+  const std::pair<topo::NodeId, std::uint32_t> ends[2] = {{link.a, link.a_port},
+                                                          {link.b, link.b_port}};
+  for (int i = 0; i < 2; ++i) {
+    const auto it = endpoint_index_.find(ends[i].first);
+    if (it == endpoint_index_.end()) continue;
+    runtime.end[i] = it->second;
+    auto& ports = endpoints_[it->second].port_link;
+    if (ports.size() <= ends[i].second) ports.resize(ends[i].second + 1, 0);
+    ports[ends[i].second] = link.id;
+  }
+}
+
+void SimNetwork::transmit(std::uint32_t from, std::uint32_t port,
+                          Frame&& frame, std::uint32_t queue_id,
                           std::uint32_t in_port) {
-  const topo::Link* link = gen_.topo.link_at(from, port);
-  if (!link) return;
-  auto& dir_state =
-      link_runtime_.at(link->id).dirs[(from == link->a) ? 0 : 1];
+  Endpoint& ep = endpoints_[from];
+  const topo::LinkId indexed =
+      port < ep.port_link.size() ? ep.port_link[port] : 0;
+  const topo::Link* link = indexed != 0 ? gen_.topo.link(indexed) : nullptr;
+  if (!link) {
+    // Unindexed port, or its link left the topology: ask the topology.
+    link = gen_.topo.link_at(ep.id, port);
+    if (link) {
+      index_link(*link);
+    } else {
+      if (indexed != 0) {
+        // The port's link was removed: the frame is lost on it.
+        LinkRuntime& gone = link_runtime_[indexed];
+        ++gone.dirs[gone.end[0] == from ? 0 : 1].stats.dropped_down;
+        note_link_drop();
+      }
+      return;
+    }
+  }
+  const int dir = ep.id == link->a ? 0 : 1;
+  auto& dir_state = link_runtime_[link->id].dirs[dir];
   auto& stats = dir_state.stats;
 
   if (!link->up) {
@@ -203,47 +244,47 @@ void SimNetwork::transmit(topo::NodeId from, std::uint32_t port,
   // hop record. Timestamp/queue depth here are enqueue-time values; they
   // are re-stamped at dequeue (start_transmission) so they reflect the
   // wait the packet actually experienced.
-  if (telemetry_on_ && telemetry_.contains(from) &&
-      net::has_telemetry_trailer(frame)) {
+  if (telemetry_on_ && telemetry_.contains(ep.id) &&
+      net::has_telemetry_trailer(frame.bytes)) {
     net::append_telemetry_hop(
-        frame, net::TelemetryHop{
-                   .switch_id = from,
-                   .ingress_port = in_port,
-                   .egress_port = port,
-                   .timestamp_ns = now_ns(),
-                   .queue_depth_bytes =
-                       static_cast<std::uint32_t>(dir_state.queued_bytes)});
+        frame.bytes,
+        net::TelemetryHop{
+            .switch_id = ep.id,
+            .ingress_port = in_port,
+            .egress_port = port,
+            .timestamp_ns = now_ns(),
+            .queue_depth_bytes =
+                static_cast<std::uint32_t>(dir_state.queued_bytes)});
+    frame.meta.valid = false;
   }
 
+  const auto size = static_cast<double>(frame.bytes.size());
   ++stats.delivered;
-  stats.bytes += frame.size();
+  stats.bytes += frame.bytes.size();
   if (queue_id >= 1) ++stats.priority_delivered;
 
   if (!dir_state.busy) {
     dir_state.busy = true;
-    start_transmission(link->id, (from == link->a) ? 0 : 1, std::move(frame));
+    start_transmission(*link, dir, std::move(frame));
     return;
   }
 
   // Transmitter busy: enqueue under the shared DropTail budget. Strict
   // priority: class >= 1 frames are always accepted ahead of best-effort
   // backlog; if even dropping BE tail can't make room, the frame is lost.
-  if (dir_state.queued_bytes + static_cast<double>(frame.size()) >
-      options_.queue_bytes) {
+  if (dir_state.queued_bytes + size > options_.queue_bytes) {
     if (queue_id >= 1 && !dir_state.queue_best_effort.empty()) {
       // Push out best-effort tail to admit the priority frame.
       while (!dir_state.queue_best_effort.empty() &&
-             dir_state.queued_bytes + static_cast<double>(frame.size()) >
-                 options_.queue_bytes) {
-        dir_state.queued_bytes -=
-            static_cast<double>(dir_state.queue_best_effort.back().size());
+             dir_state.queued_bytes + size > options_.queue_bytes) {
+        dir_state.queued_bytes -= static_cast<double>(
+            dir_state.queue_best_effort.back().bytes.size());
         dir_state.queue_best_effort.pop_back();
         ++stats.dropped_queue;
         note_link_drop();
         --stats.delivered;  // it was counted on admission
       }
-      if (dir_state.queued_bytes + static_cast<double>(frame.size()) >
-          options_.queue_bytes) {
+      if (dir_state.queued_bytes + size > options_.queue_bytes) {
         ++stats.dropped_queue;
         note_link_drop();
         --stats.delivered;
@@ -258,139 +299,173 @@ void SimNetwork::transmit(topo::NodeId from, std::uint32_t port,
       return;
     }
   }
-  dir_state.queued_bytes += static_cast<double>(frame.size());
+  dir_state.queued_bytes += size;
   (queue_id >= 1 ? dir_state.queue_priority : dir_state.queue_best_effort)
       .push_back(std::move(frame));
 }
 
-void SimNetwork::start_transmission(topo::LinkId link_id, int dir,
-                                    net::Bytes frame) {
+void SimNetwork::start_transmission(const topo::Link& link, int dir,
+                                    Frame&& frame) {
+  const LinkRuntime& runtime = link_runtime_[link.id];
   if (telemetry_on_) {
     // Dequeue re-stamp: the newest hop record gets the actual serialization
     // start time and the backlog left behind in this link direction.
-    const auto& dir_state = link_runtime_.at(link_id).dirs[dir];
-    net::restamp_last_hop(
-        frame, now_ns(),
-        static_cast<std::uint32_t>(dir_state.queued_bytes));
+    if (net::restamp_last_hop(
+            frame.bytes, now_ns(),
+            static_cast<std::uint32_t>(runtime.dirs[dir].queued_bytes)))
+      frame.meta.valid = false;
   }
-  const topo::Link* link = gen_.topo.link(link_id);
   const double tx_time =
-      static_cast<double>(frame.size()) / (link->capacity_bps / 8.0);
-  const topo::NodeId to = (dir == 0) ? link->b : link->a;
-  const std::uint32_t to_port = link->port_at(to);
+      static_cast<double>(frame.bytes.size()) / (link.capacity_bps / 8.0);
+  const std::uint32_t to_port = dir == 0 ? link.b_port : link.a_port;
   const double done_at = now() + tx_time;
   // Frame reaches the far end one propagation delay after serialization.
-  schedule_delivery(done_at + link->latency_s, to, to_port, std::move(frame));
-  events_.schedule_at(done_at,
-                      [this, link_id, dir] { on_transmit_complete(link_id, dir); });
+  schedule_delivery(done_at + link.latency_s, runtime.end[1 - dir], to_port,
+                    std::move(frame));
+  events_.post_at(done_at, tx_done_, link.id * 2 + static_cast<unsigned>(dir));
 }
 
 void SimNetwork::on_transmit_complete(topo::LinkId link_id, int dir) {
-  auto& dir_state = link_runtime_.at(link_id).dirs[dir];
-  auto& next_queue = !dir_state.queue_priority.empty()
-                         ? dir_state.queue_priority
-                         : dir_state.queue_best_effort;
-  if (next_queue.empty()) {
-    dir_state.busy = false;
-    return;
-  }
-  net::Bytes frame = std::move(next_queue.front());
-  next_queue.pop_front();
-  dir_state.queued_bytes -= static_cast<double>(frame.size());
-  const topo::Link* link = gen_.topo.link(link_id);
-  if (!link || !link->up) {
-    // Link died while the frame was queued.
+  auto& dir_state = link_runtime_[link_id].dirs[dir];
+  for (;;) {
+    auto& next_queue = !dir_state.queue_priority.empty()
+                           ? dir_state.queue_priority
+                           : dir_state.queue_best_effort;
+    if (next_queue.empty()) {
+      dir_state.busy = false;
+      return;
+    }
+    Frame frame = std::move(next_queue.front());
+    next_queue.pop_front();
+    dir_state.queued_bytes -= static_cast<double>(frame.bytes.size());
+    const topo::Link* link = gen_.topo.link(link_id);
+    if (link && link->up) {
+      start_transmission(*link, dir, std::move(frame));
+      return;
+    }
+    // Link died (or left the topology) while the frame was queued.
     ++dir_state.stats.dropped_down;
     note_link_drop();
-    on_transmit_complete(link_id, dir);
-    return;
   }
-  start_transmission(link_id, dir, std::move(frame));
 }
 
-void SimNetwork::deliver(topo::NodeId node, std::uint32_t port,
-                         net::Bytes frame) {
-  if (const auto host_it = hosts_.find(node); host_it != hosts_.end()) {
-    // Sink-side: strip the telemetry trailer so the host sees the original
-    // frame, and turn the collected hops into a path record exported by
-    // the host's edge switch.
-    if (telemetry_on_) {
-      if (auto hops = net::strip_telemetry_trailer(frame);
-          hops && !hops->empty()) {
-        const auto edge_it = host_edge_switch_.find(node);
-        if (edge_it != host_edge_switch_.end()) {
-          if (const auto tel_it = telemetry_.find(edge_it->second);
-              tel_it != telemetry_.end()) {
-            telemetry::PathRecord path;
-            if (const auto parsed = net::parse_packet(frame); parsed.ok()) {
-              if (parsed.value().ipv4) {
-                path.ipv4_src = parsed.value().ipv4->src.value();
-                path.ipv4_dst = parsed.value().ipv4->dst.value();
-                path.ip_proto = parsed.value().ipv4->protocol;
-              }
-              const net::FlowKey key = parsed.value().flow_key(port);
-              path.l4_src = key.l4_src;
-              path.l4_dst = key.l4_dst;
+void SimNetwork::deliver_to_host(const Endpoint& ep, std::uint32_t port,
+                                 Frame&& frame) {
+  // Sink-side: strip the telemetry trailer so the host sees the original
+  // frame, and turn the collected hops into a path record exported by the
+  // host's edge switch.
+  if (telemetry_on_) {
+    if (auto hops = net::strip_telemetry_trailer(frame.bytes);
+        hops && !hops->empty()) {
+      frame.meta.valid = false;
+      const auto edge_it = host_edge_switch_.find(ep.id);
+      if (edge_it != host_edge_switch_.end()) {
+        if (const auto tel_it = telemetry_.find(edge_it->second);
+            tel_it != telemetry_.end()) {
+          telemetry::PathRecord path;
+          if (const auto parsed = net::parse_packet(frame.bytes); parsed.ok()) {
+            if (parsed.value().ipv4) {
+              path.ipv4_src = parsed.value().ipv4->src.value();
+              path.ipv4_dst = parsed.value().ipv4->dst.value();
+              path.ip_proto = parsed.value().ipv4->protocol;
             }
-            path.hops = std::move(*hops);
-            tel_it->second->on_path_complete(std::move(path));
-            maybe_flush_telemetry(edge_it->second);
+            const net::FlowKey key = parsed.value().flow_key(port);
+            path.l4_src = key.l4_src;
+            path.l4_dst = key.l4_dst;
           }
+          path.hops = std::move(*hops);
+          tel_it->second->on_path_complete(std::move(path));
+          maybe_flush_telemetry(edge_it->second);
         }
       }
     }
-    delivery_slo().record(true);
-    host_it->second->deliver(frame);
-    return;
   }
-  const auto sw_it = switches_.find(node);
-  if (sw_it == switches_.end() || !switch_up(node)) return;
-  handle_forward_result(node, sw_it->second->ingress(now(), port, frame));
+  delivery_slo().record(true);
+  ep.host->deliver(frame.bytes, frame.meta);
 }
 
-void SimNetwork::schedule_delivery(double at, topo::NodeId node,
-                                   std::uint32_t port, net::Bytes frame) {
+void SimNetwork::arrive(InFlight& rec) {
+  const Endpoint& ep = endpoints_[rec.to];
+  if (ep.host) {
+    deliver_to_host(ep, rec.port, std::move(rec.frame));
+    return;
+  }
+  if (!ep.sw || !ep.up) return;
+  // The scratch result is moved out for the duration, so a reentrant
+  // delivery could never clobber it.
+  dataplane::ForwardResult result = std::move(scratch_);
+  ep.sw->ingress(now(), rec.port, std::move(rec.frame.bytes), rec.frame.meta,
+                 result);
+  handle_forward_result(rec.to, result);
+  scratch_ = std::move(result);
+}
+
+void SimNetwork::schedule_delivery(double at, std::uint32_t to,
+                                   std::uint32_t port, Frame&& frame) {
+  std::uint32_t slot;
+  if (in_flight_free_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = in_flight_free_.back();
+    in_flight_free_.pop_back();
+  }
+  InFlight& rec = in_flight_[slot];
+  rec.frame = std::move(frame);
+  rec.to = to;
+  rec.port = port;
   // Two-phase arrival, sharded by destination node. The compute half runs
   // the switch's match/lookup pipeline (which touches only that switch's
   // tables, cache, meters and per-switch metrics — all owned by the
   // node's shard during a slice); everything with global reach happens in
   // the apply half on the coordinator, in seq order. With no engine
-  // installed the two phases run back to back, reproducing the classic
-  // single-threaded delivery byte for byte. Host arrivals keep a no-op
-  // compute phase: they stay sharded so they never fragment a slice, but
-  // the telemetry-strip/SLO/host path shares sink-side state and thus
-  // belongs to the coordinator.
-  events_.schedule_sharded_at(
-      at, static_cast<std::uint64_t>(node),
-      [this, node, port, f = std::move(frame),
-       result = dataplane::ForwardResult{},
-       computed = false](EventQueue::Phase phase) mutable {
-        if (phase == EventQueue::Phase::kCompute) {
-          if (hosts_.contains(node)) return;
-          const auto sw_it = switches_.find(node);
-          if (sw_it == switches_.end() || !switch_up(node)) return;
-          result = sw_it->second->ingress(now(), port, f);
-          computed = true;
-          return;
-        }
-        if (computed) {
-          handle_forward_result(node, std::move(result));
-          return;
-        }
-        deliver(node, port, std::move(f));
-      });
+  // installed the whole arrival runs at once (fire), the classic
+  // single-threaded delivery. Host arrivals keep a no-op compute phase:
+  // they stay sharded so they never fragment a slice, but the
+  // telemetry-strip/SLO/host path shares sink-side state and thus belongs
+  // to the coordinator.
+  events_.post_sharded_at(at, endpoints_[to].id, deliveries_, slot);
 }
 
-void SimNetwork::handle_forward_result(topo::NodeId sw,
-                                       dataplane::ForwardResult result) {
+// The slot is released only after the arrival, so nothing the arrival
+// schedules can reuse the record it is still reading.
+void SimNetwork::Deliveries::fire(std::uint32_t slot) {
+  net.arrive(net.in_flight_[slot]);
+  net.in_flight_free_.push_back(slot);
+}
+
+void SimNetwork::Deliveries::compute(std::uint32_t slot) {
+  InFlight& rec = net.in_flight_[slot];
+  const Endpoint& ep = net.endpoints_[rec.to];
+  if (ep.host || !ep.sw || !ep.up) return;
+  rec.computed = std::make_unique<dataplane::ForwardResult>();
+  ep.sw->ingress(net.now(), rec.port, std::move(rec.frame.bytes),
+                 rec.frame.meta, *rec.computed);
+}
+
+void SimNetwork::Deliveries::apply(std::uint32_t slot) {
+  std::unique_ptr<dataplane::ForwardResult> computed =
+      std::move(net.in_flight_[slot].computed);
+  if (!computed) {
+    fire(slot);
+    return;
+  }
+  const std::uint32_t to = net.in_flight_[slot].to;
+  net.in_flight_free_.push_back(slot);
+  net.handle_forward_result(to, *computed);
+}
+
+void SimNetwork::handle_forward_result(std::uint32_t sw,
+                                       dataplane::ForwardResult& result) {
   for (auto& egress : result.outputs)
-    transmit(sw, egress.port, std::move(egress.frame), egress.queue_id,
-             result.in_port);
+    transmit(sw, egress.port, Frame{std::move(egress.frame), egress.meta},
+             egress.queue_id, result.in_port);
+  const topo::NodeId id = endpoints_[sw].id;
   if (result.packet_in) {
     for (const auto& handler : event_handlers_)
-      handler(sw, openflow::Message{*result.packet_in});
+      handler(id, openflow::Message{*result.packet_in});
   }
-  if (telemetry_on_) maybe_flush_telemetry(sw);
+  if (telemetry_on_) maybe_flush_telemetry(id);
 }
 
 namespace {
@@ -440,7 +515,8 @@ dataplane::ModStatus SimNetwork::commit_bundle(
 
 void SimNetwork::packet_out(topo::NodeId sw, const openflow::PacketOut& msg) {
   if (!switch_up(sw)) return;
-  handle_forward_result(sw, switches_.at(sw)->packet_out(now(), msg));
+  dataplane::ForwardResult result = switches_.at(sw)->packet_out(now(), msg);
+  handle_forward_result(endpoint_index_.at(sw), result);
 }
 
 void SimNetwork::set_link_admin_up(topo::LinkId id, bool up) {
@@ -462,7 +538,7 @@ void SimNetwork::set_link_admin_up(topo::LinkId id, bool up) {
 void SimNetwork::crash_switch(topo::NodeId id) {
   const auto it = switches_.find(id);
   if (it == switches_.end() || !switch_up(id)) return;
-  down_switches_.insert(id);
+  endpoints_[endpoint_index_.at(id)].up = false;
   // Power loss: volatile forwarding state is gone the instant the switch
   // dies, not when it comes back.
   it->second->reset();
@@ -475,7 +551,7 @@ void SimNetwork::crash_switch(topo::NodeId id) {
 void SimNetwork::reboot_switch(topo::NodeId id) {
   const auto it = switches_.find(id);
   if (it == switches_.end() || switch_up(id)) return;
-  down_switches_.erase(id);
+  endpoints_[endpoint_index_.at(id)].up = true;
   ZEN_TRACE_INSTANT("switch_reboot", "sim");
   ZEN_LOG(Info) << "sim: switch " << id << " rebooted";
   for (const topo::Link* link : gen_.topo.links_of(id)) {
@@ -511,7 +587,7 @@ double SimNetwork::link_utilization(topo::LinkId id, int dir,
 
 std::uint64_t SimNetwork::total_link_drops() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& [id, runtime] : link_runtime_)
+  for (const auto& runtime : link_runtime_)
     for (const auto& dir_state : runtime.dirs)
       total += dir_state.stats.dropped_queue + dir_state.stats.dropped_down;
   return total;

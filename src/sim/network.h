@@ -19,7 +19,6 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "dataplane/switch.h"
 #include "sim/event_queue.h"
@@ -143,7 +142,8 @@ class SimNetwork {
   // reconcile (FlowRuleStore audit) to repopulate it.
   void reboot_switch(topo::NodeId id);
   bool switch_up(topo::NodeId id) const noexcept {
-    return !down_switches_.contains(id);
+    const auto it = endpoint_index_.find(id);
+    return it == endpoint_index_.end() || endpoints_[it->second].up;
   }
 
   // ---- link observability ----
@@ -157,30 +157,75 @@ class SimNetwork {
   std::uint64_t total_link_drops() const noexcept;
 
  private:
+  // A frame on a link (queued or in flight) with its parse-once metadata.
+  struct Frame {
+    net::Bytes bytes;
+    net::FrameMeta meta;
+  };
   struct LinkDir {
     bool busy = false;
-    std::deque<net::Bytes> queue_priority;
-    std::deque<net::Bytes> queue_best_effort;
+    std::deque<Frame> queue_priority;
+    std::deque<Frame> queue_best_effort;
     double queued_bytes = 0;
     LinkDirStats stats;
   };
   struct LinkRuntime {
     LinkDir dirs[2];
+    std::uint32_t end[2] = {0, 0};  // endpoint index of link.a, link.b
+  };
+  // Dense per-node state, indexed by endpoint index: what sits at the node
+  // and which link each of its ports feeds. Ports map to a LinkId, never a
+  // Link*: the topology may drop a link (Topology::remove_link) under a
+  // running simulation, and an id is then simply no longer found.
+  struct Endpoint {
+    topo::NodeId id = 0;
+    dataplane::Switch* sw = nullptr;
+    SimHost* host = nullptr;
+    bool up = true;  // false while the switch is crashed
+    std::vector<topo::LinkId> port_link;  // port number -> link, 0 = none
+  };
+  // A frame past its link's transmitter, waiting to arrive (pooled).
+  struct InFlight {
+    Frame frame;
+    std::uint32_t to = 0;  // endpoint index
+    std::uint32_t port = 0;
+    // Sharded slices only: the switch verdict of the compute phase.
+    std::unique_ptr<dataplane::ForwardResult> computed;
+  };
+  // Typed event receivers: arg is an InFlight slot / link_id * 2 + dir.
+  struct Deliveries final : EventQueue::Handler {
+    explicit Deliveries(SimNetwork& n) : net(n) {}
+    void fire(std::uint32_t slot) override;
+    void compute(std::uint32_t slot) override;
+    void apply(std::uint32_t slot) override;
+    SimNetwork& net;
+  };
+  struct TxDone final : EventQueue::Handler {
+    explicit TxDone(SimNetwork& n) : net(n) {}
+    void fire(std::uint32_t arg) override {
+      net.on_transmit_complete(arg >> 1, static_cast<int>(arg & 1));
+    }
+    SimNetwork& net;
   };
 
-  void transmit(topo::NodeId from, std::uint32_t port, net::Bytes frame,
+  // Adds `link` to the port index and the link runtime table.
+  void index_link(const topo::Link& link);
+  void transmit(std::uint32_t from, std::uint32_t port, Frame&& frame,
                 std::uint32_t queue_id = 0, std::uint32_t in_port = 0);
-  void start_transmission(topo::LinkId link_id, int dir, net::Bytes frame);
+  void start_transmission(const topo::Link& link, int dir, Frame&& frame);
   void on_transmit_complete(topo::LinkId link_id, int dir);
-  void deliver(topo::NodeId node, std::uint32_t port, net::Bytes frame);
-  // Schedules the arrival of `frame` at `node` as a two-phase sharded
-  // event keyed by the destination: the switch-lookup half (ingress) runs
-  // in the compute phase on the node's shard, the side effects (transmit,
-  // PacketIn fan-out, host delivery) in the apply phase on the
-  // coordinator, in seq order.
-  void schedule_delivery(double at, topo::NodeId node, std::uint32_t port,
-                         net::Bytes frame);
-  void handle_forward_result(topo::NodeId sw, dataplane::ForwardResult result);
+  // Schedules the arrival of `frame` at endpoint `to` as a two-phase
+  // sharded event keyed by the destination node: the switch-lookup half
+  // (ingress) runs in the compute phase on the node's shard, the side
+  // effects (transmit, PacketIn fan-out, host delivery) in the apply phase
+  // on the coordinator, in seq order.
+  void schedule_delivery(double at, std::uint32_t to, std::uint32_t port,
+                         Frame&& frame);
+  // The frame of in-flight record `rec` arrives (the whole delivery, inline).
+  void arrive(InFlight& rec);
+  void deliver_to_host(const Endpoint& ep, std::uint32_t port, Frame&& frame);
+  // Endpoint index `sw` transmits the outputs and raises the PacketIn.
+  void handle_forward_result(std::uint32_t sw, dataplane::ForwardResult& result);
   void schedule_expiry_sweep();
   void schedule_telemetry_sweep();
   // Drains vacancy TableStatus events from `sw` and fans them out to the
@@ -199,7 +244,16 @@ class SimNetwork {
   std::unordered_map<topo::NodeId, std::unique_ptr<dataplane::Switch>> switches_;
   std::unordered_map<topo::NodeId, std::unique_ptr<SimHost>> hosts_;
   std::unordered_map<net::Ipv4Address, topo::NodeId> ip_to_host_;
-  std::unordered_map<topo::LinkId, LinkRuntime> link_runtime_;
+  std::vector<Endpoint> endpoints_;
+  std::unordered_map<topo::NodeId, std::uint32_t> endpoint_index_;
+  std::vector<LinkRuntime> link_runtime_;  // indexed by LinkId
+  // A deque, so records stay put while a delivery schedules more of them.
+  std::deque<InFlight> in_flight_;
+  std::vector<std::uint32_t> in_flight_free_;
+  Deliveries deliveries_{*this};
+  TxDone tx_done_{*this};
+  // Reused by inline deliveries, so a warm hop allocates no outputs vector.
+  dataplane::ForwardResult scratch_;
   std::vector<DatapathEventFn> event_handlers_;
   // Telemetry: per-switch state, plus host -> (edge switch, port) for
   // sink-side trailer stripping. telemetry_on_ gates every hot-path check
@@ -207,7 +261,6 @@ class SimNetwork {
   std::unordered_map<topo::NodeId, std::unique_ptr<telemetry::SwitchTelemetry>>
       telemetry_;
   std::unordered_map<topo::NodeId, topo::NodeId> host_edge_switch_;
-  std::unordered_set<topo::NodeId> down_switches_;
   bool telemetry_on_ = false;
   std::uint64_t clock_token_ = 0;
 };

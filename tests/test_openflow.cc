@@ -199,6 +199,18 @@ TEST(Codec, EchoRoundtrip) {
   expect_roundtrip(EchoReply{{1, 2}, /*boot_id=*/7});
 }
 
+// Zero-length byte fields decode through a read into an empty buffer,
+// whose data() may be null; the sanitizer builds check that read is clean.
+TEST(Codec, EmptyDataRoundtrip) {
+  expect_roundtrip(EchoRequest{});
+  expect_roundtrip(EchoReply{{}, /*boot_id=*/3});
+  PacketOut m;
+  m.buffer_id = 42;
+  m.in_port = 1;
+  m.actions = {OutputAction{2, 0xffff}};
+  expect_roundtrip(m);
+}
+
 TEST(Codec, FeaturesRoundtrip) {
   expect_roundtrip(FeaturesRequest{});
   FeaturesReply m;

@@ -23,6 +23,11 @@ struct TopoCase {
   topo::GeneratedTopo (*make)();
 };
 
+// Print a case by its name. gtest's default printer dumps the raw bytes of
+// the struct, i.e. two ASLR-randomised pointers, which makes the listed test
+// names (and so the CTest names) differ on every build.
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.name; }
+
 topo::GeneratedTopo make_case_fat_tree() { return topo::make_fat_tree(4); }
 topo::GeneratedTopo make_case_leaf_spine() {
   return topo::make_leaf_spine(3, 4, 3);

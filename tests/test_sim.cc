@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+
+#include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "topo/generators.h"
@@ -61,6 +65,93 @@ TEST(EventQueue, PastEventsClampToNow) {
   q.run();
   EXPECT_TRUE(fired);
   EXPECT_DOUBLE_EQ(q.now(), 5.0);
+}
+
+// Closures and typed events share one (time, seq) order. A seeded mix of
+// plain timers, typed events and sharded typed events, with colliding
+// timestamps, past times and follow-ons scheduled from inside callbacks,
+// must fire exactly in the order of a reference multimap queue keyed by
+// (time, scheduling sequence).
+class OrderOracle final : public EventQueue::Handler {
+ public:
+  OrderOracle(EventQueue& q, std::uint64_t seed) : q_(q), rng_(seed) {}
+
+  void seed_events(int n) {
+    for (int i = 0; i < n; ++i) schedule_random();
+  }
+  void fire(std::uint32_t id) override { on_fire(id); }
+
+  const std::vector<std::uint32_t>& fired() const { return fired_; }
+  const std::vector<std::uint32_t>& expected() const { return expected_; }
+  bool drained() const { return ref_.empty(); }
+
+ private:
+  void schedule_random() {
+    const std::uint32_t id = next_id_++;
+    // Four distinct offsets (one in the past, clamped to now), so equal
+    // timestamps are the common case.
+    const double at = q_.now() + 0.25 * (static_cast<double>(rng_() % 4) - 1);
+    ref_.emplace(std::pair{std::max(at, ref_now_), ref_seq_++}, id);
+    switch (rng_() % 3) {
+      case 0:
+        q_.schedule_at(at, [this, id] { on_fire(id); });
+        break;
+      case 1:
+        q_.post_at(at, *this, id);
+        break;
+      default:
+        q_.post_sharded_at(at, rng_() % 3, *this, id);
+        break;
+    }
+  }
+
+  void on_fire(std::uint32_t id) {
+    fired_.push_back(id);
+    ASSERT_FALSE(ref_.empty());
+    const auto head = ref_.begin();
+    expected_.push_back(head->second);
+    EXPECT_DOUBLE_EQ(q_.now(), head->first.first);
+    ref_now_ = head->first.first;
+    ref_.erase(head);
+    for (int n = static_cast<int>(rng_() % 4); n > 0 && budget_ > 0; --n) {
+      --budget_;
+      schedule_random();
+    }
+  }
+
+  EventQueue& q_;
+  std::mt19937_64 rng_;
+  std::multimap<std::pair<double, std::uint64_t>, std::uint32_t> ref_;
+  std::uint64_t ref_seq_ = 0;
+  double ref_now_ = 0;
+  std::uint32_t next_id_ = 0;
+  int budget_ = 3000;
+  std::vector<std::uint32_t> fired_;
+  std::vector<std::uint32_t> expected_;
+};
+
+TEST(EventQueue, MixedEventKindsFireInReferenceOrder) {
+  for (const std::uint64_t seed : {1u, 7u, 42u}) {
+    EventQueue q;
+    OrderOracle oracle(q, seed);
+    oracle.seed_events(64);
+    q.run();
+    EXPECT_TRUE(oracle.drained()) << "seed " << seed;
+    EXPECT_GT(oracle.fired().size(), 1000u);
+    EXPECT_EQ(oracle.fired(), oracle.expected()) << "seed " << seed;
+  }
+}
+
+TEST(EventQueue, MixedEventKindsKeepReferenceOrderUnderTheEngine) {
+  ParallelEngine engine({.workers = 2, .spin = 0});
+  EventQueue q;
+  q.set_engine(&engine);
+  OrderOracle oracle(q, 99);
+  oracle.seed_events(64);
+  q.run();
+  EXPECT_TRUE(oracle.drained());
+  EXPECT_EQ(oracle.fired(), oracle.expected());
+  EXPECT_GT(q.parallel_events(), 0u);  // some same-instant slices fanned out
 }
 
 // ---- addressing ----
@@ -213,6 +304,53 @@ TEST_F(TwoHostFixture, LinkDownDropsTraffic) {
   sender.send_udp(receiver.ip(), 5000, 5001, 64);
   net_.run_until(2.0);
   EXPECT_EQ(receiver.stats().udp_received, 1u);
+}
+
+// A link pulled out of the topology under a running simulation, with a
+// burst queued behind its transmitter and frames propagating on it: the
+// queued frames and every later frame sent onto it are counted as drops,
+// frames already past the transmitter still arrive, and no other link
+// loses anything.
+TEST_F(TwoHostFixture, LinkRemovedUnderLoadCountsItsDropsOnly) {
+  auto& sender = net_.host_at(h0_);
+  auto& receiver = net_.host_at(h1_);
+  sender.add_arp_entry(receiver.ip(), receiver.mac());
+  receiver.add_arp_entry(sender.ip(), sender.mac());
+  const topo::Link* access = net_.topology().link_between(h0_, 1);
+  ASSERT_NE(access, nullptr);
+  const topo::LinkId access_id = access->id;
+  const topo::LinkId trunk_id = net_.topology().link_between(1, 2)->id;
+  const topo::LinkId far_id = net_.topology().link_between(2, h1_)->id;
+
+  constexpr std::uint64_t kBurst = 40;  // ~0.83 us of serialization each
+  for (std::uint64_t i = 0; i < kBurst; ++i)
+    sender.send_udp(receiver.ip(), 5000, 5001, 1000);
+  net_.run_until(5e-6);  // a few frames past the transmitter, the rest queued
+  ASSERT_TRUE(net_.topology().remove_link(access_id));
+
+  receiver.send_udp(sender.ip(), 5001, 5000, 64);  // s1 sends it onto the gone link
+  sender.send_udp(receiver.ip(), 5000, 5001, 64);  // the host too
+  net_.run_until(1.0);
+
+  const auto drops = [&](topo::LinkId id) {
+    std::uint64_t n = 0;
+    for (int dir = 0; dir < 2; ++dir)
+      n += net_.link_stats(id, dir).dropped_down +
+           net_.link_stats(id, dir).dropped_queue;
+    return n;
+  };
+  const std::uint64_t got = receiver.stats().udp_received;
+  EXPECT_GT(got, 0u);
+  EXPECT_LT(got, kBurst);
+  EXPECT_EQ(sender.stats().udp_received, 0u);
+  // Every frame is accounted for: delivered, or dropped on the gone link.
+  EXPECT_EQ(got + drops(access_id), kBurst + 2);
+  EXPECT_EQ(net_.total_link_drops(), drops(access_id));
+  EXPECT_EQ(drops(trunk_id), 0u);
+  EXPECT_EQ(drops(far_id), 0u);
+  EXPECT_EQ(net_.link_stats(trunk_id, 0).delivered +
+                net_.link_stats(trunk_id, 1).delivered,
+            got + 1);  // the burst survivors, plus the reply toward s1
 }
 
 TEST_F(TwoHostFixture, PortStatusEventsOnLinkFailure) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "dataplane/switch.h"
 #include "net/checksum.h"
 #include "net/headers.h"
 #include "net/packet.h"
+#include "net/telemetry.h"
+#include "telemetry/switch_telemetry.h"
 
 namespace zen::dataplane {
 namespace {
@@ -771,6 +775,225 @@ TEST(SwitchV6, MegaflowCachesV6Flows) {
       std::vector<std::uint8_t>(8, 0));
   sw.ingress(0, 1, other);
   EXPECT_EQ(sw.cache().size(), 2u);
+}
+
+// ---- owning hot path vs. the copying span path ----
+//
+// Two identically configured switches: `hot` takes each frame the way the
+// simulator hands it on (owned bytes plus the previous hop's parse), the
+// oracle through the copying span ingress(), which parses afresh. Their
+// verdicts must match, every parse an egress carries on must be the parse
+// of its bytes, and next-hop switches fed from either side must agree.
+
+net::Bytes sized_udp_frame(std::size_t payload, std::uint16_t dst_port = 2000) {
+  return net::build_ipv4_udp(kSrcMac, kDstMac, kSrcIp, kDstIp, 1000, dst_port,
+                             std::vector<std::uint8_t>(payload, 0x5a));
+}
+
+// The parse a previous hop would hand on (taken there on another port).
+net::FrameMeta upstream_meta(const net::Bytes& frame) {
+  const auto parsed = net::parse_packet(frame);
+  return parsed.ok() ? net::FrameMeta::of(parsed.value(), 99) : net::FrameMeta{};
+}
+
+ForwardResult owning_ingress(Switch& sw, std::uint32_t in_port,
+                             const net::Bytes& frame,
+                             const net::FrameMeta& meta) {
+  ForwardResult out;
+  sw.ingress(0, in_port, net::Bytes(frame), meta, out);
+  return out;
+}
+
+void expect_same_verdict(const ForwardResult& hot, const ForwardResult& oracle) {
+  EXPECT_EQ(hot.dropped, oracle.dropped);
+  EXPECT_EQ(hot.in_port, oracle.in_port);
+  EXPECT_EQ(hot.packet_in, oracle.packet_in);
+  ASSERT_EQ(hot.outputs.size(), oracle.outputs.size());
+  for (std::size_t i = 0; i < hot.outputs.size(); ++i) {
+    const Egress& a = hot.outputs[i];
+    const Egress& b = oracle.outputs[i];
+    EXPECT_EQ(a.port, b.port);
+    EXPECT_EQ(a.queue_id, b.queue_id);
+    EXPECT_EQ(a.frame, b.frame);
+    EXPECT_EQ(a.meta.valid, b.meta.valid);
+    if (a.meta.valid && b.meta.valid) {
+      EXPECT_EQ(a.meta.key, b.meta.key);
+      EXPECT_EQ(a.meta.payload_offset, b.meta.payload_offset);
+    }
+    if (a.meta.valid) {
+      const auto parsed = net::parse_packet(a.frame);
+      ASSERT_TRUE(parsed.ok());
+      const auto fresh = net::FrameMeta::of(parsed.value(), a.meta.key.in_port);
+      EXPECT_EQ(a.meta.key, fresh.key);
+      EXPECT_EQ(a.meta.payload_offset, fresh.payload_offset);
+    }
+  }
+}
+
+struct OwningPathRig {
+  explicit OwningPathRig(const std::function<void(Switch&)>& configure) {
+    configure(hot);
+    configure(oracle);
+    next_config.default_miss = MissBehavior::Drop;
+  }
+
+  // One hop on both switches, then each egress one hop further: the hot
+  // side with the parse the egress carries, the oracle side re-parsing.
+  ForwardResult hop(std::uint32_t in_port, const net::Bytes& frame,
+                    const std::function<void(Switch&)>& configure_next = {}) {
+    ForwardResult hot_result =
+        owning_ingress(hot, in_port, frame, upstream_meta(frame));
+    const ForwardResult oracle_result = oracle.ingress(0, in_port, frame);
+    expect_same_verdict(hot_result, oracle_result);
+    if (configure_next && hot_result.outputs.size() == oracle_result.outputs.size()) {
+      for (std::size_t i = 0; i < hot_result.outputs.size(); ++i) {
+        Switch hot_next = make_switch(4, next_config);
+        Switch oracle_next = make_switch(4, next_config);
+        configure_next(hot_next);
+        configure_next(oracle_next);
+        const Egress& e = hot_result.outputs[i];
+        for (int pass = 0; pass < 2; ++pass) {  // miss, then cached hit
+          const ForwardResult a = owning_ingress(hot_next, 1, e.frame, e.meta);
+          const ForwardResult b =
+              oracle_next.ingress(0, 1, oracle_result.outputs[i].frame);
+          expect_same_verdict(a, b);
+          downstream_outputs += a.outputs.size();
+        }
+      }
+    }
+    return hot_result;
+  }
+
+  Switch hot = make_switch();
+  Switch oracle = make_switch();
+  SwitchConfig next_config;
+  std::size_t downstream_outputs = 0;
+};
+
+TEST(SwitchOwningPath, FloodAndAllGroupCopyTheFrameToEveryOutput) {
+  OwningPathRig rig([](Switch& sw) {
+    openflow::GroupMod gm;
+    gm.command = openflow::GroupModCommand::Add;
+    gm.type = openflow::GroupType::All;
+    gm.group_id = 1;
+    gm.buckets = {
+        openflow::Bucket{1, openflow::Ports::kAny, {openflow::OutputAction{2, 0xffff}}},
+        openflow::Bucket{1, openflow::Ports::kAny, {openflow::OutputAction{3, 0xffff}}}};
+    ASSERT_TRUE(sw.group_mod(gm).ok);
+    openflow::FlowMod to_group;
+    to_group.priority = 20;
+    to_group.match.eth_type(net::EtherType::kIpv4).ip_proto(net::IpProto::kUdp).l4_dst(2000);
+    to_group.instructions = {openflow::ApplyActions{{openflow::GroupAction{1}}}};
+    ASSERT_TRUE(sw.flow_mod(to_group, 0).ok);
+    install_output_rule(sw, Match(), openflow::Ports::kFlood, 10);
+  });
+  const auto forward_all = [](Switch& next) {
+    install_output_rule(next, Match(), 4);
+  };
+  for (int i = 0; i < 3; ++i) {  // a miss, then cached hits
+    const net::Bytes grouped = sized_udp_frame(40, 2000);
+    const ForwardResult g = rig.hop(1, grouped, forward_all);
+    ASSERT_EQ(g.outputs.size(), 2u);
+    const net::Bytes flooded = sized_udp_frame(40, 2001);
+    const ForwardResult f = rig.hop(1, flooded, forward_all);
+    ASSERT_EQ(f.outputs.size(), 3u);
+    for (const Egress& e : g.outputs) {
+      EXPECT_EQ(e.frame, grouped);
+      EXPECT_TRUE(e.meta.valid);
+    }
+    for (const Egress& e : f.outputs) {
+      EXPECT_EQ(e.frame, flooded);
+      EXPECT_TRUE(e.meta.valid);
+    }
+  }
+  EXPECT_EQ(rig.hot.cache().hits(), 4u);
+  EXPECT_EQ(rig.downstream_outputs, 3u * 2u * (2u + 3u));
+}
+
+TEST(SwitchOwningPath, PacketInAndBufferCopyTheWholeFrameBeforeItMoves) {
+  OwningPathRig rig([](Switch& sw) {
+    openflow::FlowMod mod;
+    mod.priority = 10;
+    mod.instructions = {openflow::ApplyActions{
+        {openflow::OutputAction{2, 0xffff},
+         openflow::OutputAction{openflow::Ports::kController, 128}}}};
+    ASSERT_TRUE(sw.flow_mod(mod, 0).ok);
+  });
+  const net::Bytes frame = sized_udp_frame(300);  // longer than miss_send_len
+  for (int i = 0; i < 3; ++i) {
+    const ForwardResult r = rig.hop(1, frame);
+    ASSERT_EQ(r.outputs.size(), 1u);
+    EXPECT_EQ(r.outputs[0].frame, frame);
+    ASSERT_TRUE(r.packet_in.has_value());
+    EXPECT_EQ(r.packet_in->total_len, frame.size());
+    EXPECT_EQ(r.packet_in->data,
+              net::Bytes(frame.begin(),
+                         frame.begin() + rig.hot.config().packet_in_bytes));
+    // The buffered copy is the full frame.
+    openflow::PacketOut out;
+    out.buffer_id = r.packet_in->buffer_id;
+    out.in_port = 1;
+    out.actions = {openflow::OutputAction{3, 0xffff}};
+    const ForwardResult sent = rig.hot.packet_out(0, out);
+    ASSERT_EQ(sent.outputs.size(), 1u);
+    EXPECT_EQ(sent.outputs[0].frame, frame);
+  }
+  EXPECT_EQ(rig.hot.cache().hits(), 2u);
+}
+
+TEST(SwitchOwningPath, RewriteMakesTheNextHopParseAgain) {
+  const Ipv4Address backend(10, 0, 9, 9);
+  const MacAddress backend_mac = MacAddress::from_u64(0x02000000b00bULL);
+  OwningPathRig rig([&](Switch& sw) {
+    openflow::FlowMod mod;
+    mod.priority = 10;
+    mod.match.eth_type(net::EtherType::kIpv4).ipv4_dst(kDstIp);
+    mod.instructions = {openflow::ApplyActions{
+        {openflow::SetIpv4DstAction{backend},
+         openflow::SetEthDstAction{backend_mac},
+         openflow::OutputAction{2, 0xffff}}}};
+    ASSERT_TRUE(sw.flow_mod(mod, 0).ok);
+  });
+  // The next hop forwards only what is addressed to the backend, so a
+  // stale carried parse (the pre-rewrite VIP) would be dropped there.
+  const auto to_backend = [&](Switch& next) {
+    install_output_rule(next, Match().eth_type(net::EtherType::kIpv4).ipv4_dst(backend), 3);
+  };
+  for (int i = 0; i < 3; ++i) {
+    const ForwardResult r = rig.hop(1, sized_udp_frame(40), to_backend);
+    ASSERT_EQ(r.outputs.size(), 1u);
+    EXPECT_FALSE(r.outputs[0].meta.valid);
+    const auto parsed = net::parse_packet(r.outputs[0].frame);
+    ASSERT_TRUE(parsed.ok() && parsed.value().ipv4);
+    EXPECT_EQ(parsed.value().ipv4->dst, backend);
+  }
+  EXPECT_EQ(rig.downstream_outputs, 3u * 2u);
+}
+
+TEST(SwitchOwningPath, TelemetryTrailerMakesTheNextHopParseAgain) {
+  telemetry::Options opts;
+  opts.enabled = true;
+  opts.sample_one_in_n = 1;  // every flow sampled
+  telemetry::SwitchTelemetry hot_tel(1, opts);
+  telemetry::SwitchTelemetry oracle_tel(1, opts);
+  hot_tel.mark_edge_port(1);
+  oracle_tel.mark_edge_port(1);
+  OwningPathRig rig([](Switch& sw) { install_output_rule(sw, Match(), 2); });
+  rig.hot.set_telemetry(&hot_tel);
+  rig.oracle.set_telemetry(&oracle_tel);
+  const auto forward_all = [](Switch& next) {
+    install_output_rule(next, Match(), 4);
+  };
+  const net::Bytes frame = sized_udp_frame(40);
+  for (int i = 0; i < 3; ++i) {
+    const ForwardResult r = rig.hop(1, frame, forward_all);
+    ASSERT_EQ(r.outputs.size(), 1u);
+#ifndef ZEN_OBS_DISABLED
+    EXPECT_TRUE(net::has_telemetry_trailer(r.outputs[0].frame));
+    EXPECT_FALSE(r.outputs[0].meta.valid);
+#endif
+  }
+  EXPECT_EQ(rig.downstream_outputs, 3u * 2u);
 }
 
 }  // namespace
