@@ -97,21 +97,18 @@ BENCHMARK(BM_RoundtripPacketOut);
 
 // Southbound encode throughput, batched vs unbatched. Arg is the batch
 // size staged into one WireArena before it is recycled — the shape of a
-// Southbound flush. Arg 0 is the v1 path (one heap allocation per
-// message via the deprecated encode()), the baseline the arena replaces.
+// Southbound flush. Arg 0 is the unbatched path (one heap allocation per
+// message via encode_frame), the baseline the arena replaces.
 void BM_SouthboundEncodeThroughput(benchmark::State& state) {
   const Message msg{typical_flow_mod()};
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   std::size_t bytes = 0;
   if (batch == 0) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
     for (auto _ : state) {
-      auto wire = encode(msg, 1);
+      auto wire = encode_frame(msg, 1);
       bytes += wire.size();
       benchmark::DoNotOptimize(wire);
     }
-#pragma GCC diagnostic pop
   } else {
     WireArena arena;
     for (auto _ : state) {
@@ -125,36 +122,5 @@ void BM_SouthboundEncodeThroughput(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_SouthboundEncodeThroughput)->Arg(0)->Arg(1)->Arg(64);
-
-// Stream reassembly: feed a large batch of messages in MTU-sized chunks,
-// as a TCP southbound channel would deliver them.
-void BM_StreamReassembly(benchmark::State& state) {
-  Bytes wire;
-  const int n = 1000;
-  for (int i = 0; i < n; ++i) {
-    const Bytes one =
-        encode_frame(Message{typical_flow_mod()}, static_cast<std::uint16_t>(i));
-    wire.insert(wire.end(), one.begin(), one.end());
-  }
-  for (auto _ : state) {
-    MessageStream stream;
-    std::size_t pos = 0;
-    int decoded = 0;
-    while (pos < wire.size()) {
-      const std::size_t chunk = std::min<std::size_t>(1460, wire.size() - pos);
-      stream.feed({wire.data() + pos, chunk});
-      pos += chunk;
-      while (auto msg = stream.next()) {
-        benchmark::DoNotOptimize(msg);
-        ++decoded;
-      }
-    }
-    if (decoded != n) state.SkipWithError("lost messages");
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(wire.size()));
-}
-BENCHMARK(BM_StreamReassembly);
 
 }  // namespace

@@ -38,7 +38,6 @@
 #include "net/packet.h"
 #include "obs/obs.h"
 #include "openflow/codec.h"
-#include "sim/engine.h"
 #include "sim/fault_injector.h"
 #include "sim/network.h"
 #include "te/allocation.h"

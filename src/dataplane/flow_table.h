@@ -6,18 +6,8 @@
 // probes one hash table per distinct mask and keeps the highest-priority
 // hit. A linear-scan mode exists purely as the ablation baseline for
 // experiment E3.
-//
-// Concurrent reads (opt-in, set_concurrent_reads(true)): every mutation
-// republishes an immutable ReadView snapshot (groups pre-sorted in probe
-// order) through one atomic pointer; lookup_concurrent() walks the view
-// lock-free under the caller's epoch guard while mutators keep working on
-// the private structure. Superseded views are retired through
-// util::EpochReclaimer, and in-place instruction updates switch to
-// clone-and-swap so a reader never observes a half-written entry. The
-// classic single-threaded paths are untouched.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -27,7 +17,6 @@
 #include "openflow/actions.h"
 #include "openflow/constants.h"
 #include "openflow/match.h"
-#include "util/epoch.h"
 
 namespace zen::dataplane {
 
@@ -64,15 +53,13 @@ enum class EvictionPolicy : std::uint8_t {
 class FlowTable {
  public:
   explicit FlowTable(LookupMode mode = LookupMode::TupleSpace) : mode_(mode) {}
-  // Rule of five: the published ReadView pointer is atomic (not copyable)
-  // and owned (retired/freed on teardown), so all four are hand-rolled.
-  // Copies and moved-from tables start with no published view; the copy
-  // republishes lazily if concurrent reads are on.
+  // probe_order_ points into the table's own groups, so a copy must not
+  // share it: copies rebuild it lazily. A move carries the groups' nodes
+  // along, so the pointers stay valid and the defaults are right.
   FlowTable(const FlowTable& other);
   FlowTable& operator=(const FlowTable& other);
-  FlowTable(FlowTable&& other) noexcept;
-  FlowTable& operator=(FlowTable&& other) noexcept;
-  ~FlowTable();
+  FlowTable(FlowTable&&) noexcept = default;
+  FlowTable& operator=(FlowTable&&) noexcept = default;
 
   // Bounds the table to `max_entries` rules under `policy` (0 = unbounded).
   // Enforcement happens in the caller (Switch::flow_mod) via full()/evict()
@@ -135,21 +122,6 @@ class FlowTable {
   // (the pipeline credits entries explicitly so cached hits count too).
   FlowEntryPtr lookup(const net::FlowKey& key) noexcept;
 
-  // ---- concurrent reads ----
-  // Publishes (and keeps republishing after every mutation) the immutable
-  // read snapshot that lookup_concurrent() walks.
-  void set_concurrent_reads(bool on);
-  bool concurrent_reads() const noexcept { return concurrent_; }
-
-  // Lock-free highest-priority match against the published snapshot.
-  // Requires a live epoch guard (pins the view against retirement); the
-  // returned entry is a shared_ptr and outlives the guard. Does not bump
-  // the lookup/match counters — concurrent readers must not write shared
-  // cachelines. Semantically identical to find_best() as of the last
-  // completed mutation.
-  FlowEntryPtr lookup_concurrent(const net::FlowKey& key,
-                                 util::EpochReclaimer::Guard& guard) const;
-
   // The same search without touching the lookup/match counters — the
   // explain engine's dry-run entry point (also the equivalence oracle any
   // classifier refactor must preserve). `ex`, when non-null, receives the
@@ -167,7 +139,6 @@ class FlowTable {
     probe_order_.clear();
     order_dirty_ = false;
     count_ = 0;
-    republish_view();
   }
 
   std::size_t size() const noexcept { return count_; }
@@ -191,24 +162,7 @@ class FlowTable {
     std::unordered_map<net::FlowKey, std::vector<FlowEntryPtr>> by_key;
   };
 
-  // Immutable published snapshot for lock-free readers: the mask groups,
-  // deep-copied (cheap — buckets share the FlowEntryPtrs) and pre-sorted
-  // in probe order. Never edited after publication; superseded views are
-  // retired to the epoch reclaimer.
-  struct ReadView {
-    std::vector<MaskGroup> groups;  // sorted by max_priority desc
-  };
-
   void rebuild_group_priority(MaskGroup& group) noexcept;
-
-  // Builds + publishes a fresh ReadView and retires the old one. No-op
-  // unless concurrent reads are enabled. Called after every mutation.
-  void republish_view() noexcept;
-  // Unpublishes and frees the current view immediately (teardown / copy
-  // targets; callers guarantee no concurrent readers).
-  void drop_view() noexcept;
-  void copy_from(const FlowTable& other);
-  void move_from(FlowTable&& other) noexcept;
 
   // Rebuilds probe_order_ (groups sorted by max_priority desc) if a
   // mutation invalidated it. Sorted probing lets find_best stop at the
@@ -230,9 +184,6 @@ class FlowTable {
   std::size_t count_ = 0;
   std::uint64_t lookups_ = 0;
   std::uint64_t matches_ = 0;
-  // Concurrent-read state. view_ is only non-null while concurrent_ is on.
-  bool concurrent_ = false;
-  std::atomic<ReadView*> view_{nullptr};
 };
 
 // True if `entry`'s instructions contain an output to `port`.

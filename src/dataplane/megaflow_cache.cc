@@ -1,7 +1,5 @@
 #include "dataplane/megaflow_cache.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 
 namespace zen::dataplane {
@@ -25,110 +23,7 @@ struct CacheMetrics {
   }
 };
 
-// Finalizer-mixed key hash: the raw std::hash of a FlowKey picks both the
-// way and the probe start, so its low bits must be well distributed.
-std::uint64_t mix_key(const net::FlowKey& key) {
-  std::uint64_t h = std::hash<net::FlowKey>{}(key);
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
-}
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
-
-MegaflowCache::ConcTable::ConcTable(std::size_t n_slots, std::uint64_t ver)
-    : version(ver), mask(n_slots - 1), slots(n_slots) {}
-
-MegaflowCache::ConcTable::~ConcTable() {
-  // Runs under the epoch reclaimer once no reader can reach this
-  // generation; whatever is still linked belongs to the table.
-  for (auto& slot : slots) delete slot.load(std::memory_order_relaxed);
-}
-
-MegaflowCache::MegaflowCache(MegaflowCache&& other) noexcept
-    : capacity_(other.capacity_),
-      enabled_(other.enabled_),
-      shard_(other.shard_),
-      hit_slot_(other.hit_slot_),
-      miss_slot_(other.miss_slot_),
-      evict_slot_(other.evict_slot_),
-      map_(std::move(other.map_)),
-      hits_(other.hits_),
-      misses_(other.misses_),
-      evictions_(other.evictions_),
-      last_version_(other.last_version_),
-      evict_seed_(other.evict_seed_),
-      n_ways_(other.n_ways_),
-      way_slots_(other.way_slots_),
-      way_limit_(other.way_limit_),
-      ways_(std::move(other.ways_)),
-      conc_hits_(other.conc_hits_.load(std::memory_order_relaxed)),
-      conc_misses_(other.conc_misses_.load(std::memory_order_relaxed)),
-      conc_evictions_(other.conc_evictions_.load(std::memory_order_relaxed)) {
-  other.n_ways_ = 0;
-  other.map_.clear();
-}
-
-MegaflowCache& MegaflowCache::operator=(MegaflowCache&& other) noexcept {
-  if (this == &other) return *this;
-  this->~MegaflowCache();
-  new (this) MegaflowCache(std::move(other));
-  return *this;
-}
-
-MegaflowCache::~MegaflowCache() {
-  // Destruction contract: no concurrent readers. Currently published
-  // tables are ours to free; previously swapped-out generations are in the
-  // (process-lifetime) epoch reclaimer already.
-  if (!ways_) return;
-  for (std::size_t w = 0; w < n_ways_; ++w)
-    delete ways_[w].table.load(std::memory_order_relaxed);
-}
-
-void MegaflowCache::enable_concurrent(std::size_t ways) {
-  if (concurrent()) return;
-  map_.clear();
-  n_ways_ = ways == 0 ? 1 : ways;
-  way_slots_ = round_up_pow2(
-      std::max<std::size_t>(16, (capacity_ + n_ways_ - 1) / n_ways_));
-  way_limit_ = way_slots_ - way_slots_ / 4;
-  ways_ = std::make_unique<Way[]>(n_ways_);
-  for (std::size_t w = 0; w < n_ways_; ++w)
-    ways_[w].table.store(new ConcTable(way_slots_, last_version_),
-                         std::memory_order_release);
-}
-
-void MegaflowCache::clear() noexcept {
-  if (!concurrent()) {
-    map_.clear();
-    return;
-  }
-  auto& ebr = util::EpochReclaimer::global();
-  for (std::size_t w = 0; w < n_ways_; ++w) {
-    ConcTable* t = ways_[w].table.load(std::memory_order_acquire);
-    ways_[w].table.store(new ConcTable(way_slots_, t->version),
-                         std::memory_order_release);
-    ebr.retire(t);
-  }
-}
-
-std::size_t MegaflowCache::size() const noexcept {
-  if (!concurrent()) return map_.size();
-  std::size_t n = 0;
-  for (std::size_t w = 0; w < n_ways_; ++w)
-    n += ways_[w].table.load(std::memory_order_acquire)
-             ->size.load(std::memory_order_relaxed);
-  return n;
-}
 
 void MegaflowCache::sync_version(std::uint64_t version) {
   // Coarse invalidation: any rule-affecting change bumps the version and
@@ -143,11 +38,6 @@ void MegaflowCache::sync_version(std::uint64_t version) {
   }
 }
 
-void MegaflowCache::note_miss() {
-  if (shard_) shard_->bump(miss_slot_);
-  else CacheMetrics::get().misses.inc();
-}
-
 const CachedVerdict* MegaflowCache::find(const net::FlowKey& key,
                                          std::uint64_t version) {
   if (!enabled_) return nullptr;
@@ -155,7 +45,8 @@ const CachedVerdict* MegaflowCache::find(const net::FlowKey& key,
   const auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
-    note_miss();
+    if (shard_) shard_->bump(miss_slot_);
+    else CacheMetrics::get().misses.inc();
     return nullptr;
   }
   ++hits_;
@@ -164,86 +55,9 @@ const CachedVerdict* MegaflowCache::find(const net::FlowKey& key,
   return &it->second.verdict;
 }
 
-MegaflowCache::ConcTable* MegaflowCache::swap_way(Way& way,
-                                                  ConcTable* expected,
-                                                  std::uint64_t version,
-                                                  bool count_evictions) {
-  auto* fresh = new ConcTable(way_slots_, version);
-  if (way.table.compare_exchange_strong(expected, fresh,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-    if (count_evictions) {
-      const auto n = expected->size.load(std::memory_order_relaxed);
-      conc_evictions_.fetch_add(n, std::memory_order_relaxed);
-      if (shard_) shard_->bump(evict_slot_, n);
-      else CacheMetrics::get().evictions.inc(n);
-    }
-    // Readers pinned before the swap may still probe `expected`: retire,
-    // don't delete. The table destructor frees its entries with it.
-    util::EpochReclaimer::global().retire(expected);
-    return fresh;
-  }
-  // Lost the race; nobody ever saw `fresh`.
-  delete fresh;
-  return expected;  // CAS loaded the current table into expected
-}
-
-const CachedVerdict* MegaflowCache::find(const net::FlowKey& key,
-                                         std::uint64_t version,
-                                         util::EpochReclaimer::Guard&) {
-  if (!enabled_) return nullptr;
-  const std::uint64_t h = mix_key(key);
-  Way& way = ways_[h % n_ways_];
-  ConcTable* t = way.table.load(std::memory_order_acquire);
-  if (t->version != version) {
-    // Version moved: swap the stale generation out (first prober wins, as
-    // in the classic mode's sync_version) — but only forward. A reader
-    // still carrying an older version than the published table must not
-    // roll the cache back; it just misses.
-    if (t->version < version) swap_way(way, t, version, false);
-    conc_misses_.fetch_add(1, std::memory_order_relaxed);
-    note_miss();
-    return nullptr;
-  }
-  std::size_t idx = (h >> 16) & t->mask;
-  for (std::size_t probes = 0; probes <= t->mask; ++probes) {
-    ConcEntry* e = t->slots[idx].load(std::memory_order_acquire);
-    if (e == nullptr) break;
-    if (e->key == key) {
-      // Entries never outlive their table's version, but the stress
-      // harness leans on this invariant, so keep the belt with the
-      // suspenders: a mismatched entry is a miss, never a stale hit.
-      if (e->version != version) break;
-      conc_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (shard_) shard_->bump(hit_slot_);
-      else CacheMetrics::get().hits.inc();
-      return &e->verdict;
-    }
-    idx = (idx + 1) & t->mask;
-  }
-  conc_misses_.fetch_add(1, std::memory_order_relaxed);
-  note_miss();
-  return nullptr;
-}
-
 const CachedVerdict* MegaflowCache::peek(const net::FlowKey& key,
                                          std::uint64_t version) const noexcept {
   if (!enabled_) return nullptr;
-  if (concurrent()) {
-    const std::uint64_t h = mix_key(key);
-    const ConcTable* t =
-        ways_[h % n_ways_].table.load(std::memory_order_acquire);
-    if (t->version != version) return nullptr;
-    std::size_t idx = (h >> 16) & t->mask;
-    for (std::size_t probes = 0; probes <= t->mask; ++probes) {
-      const ConcEntry* e = t->slots[idx].load(std::memory_order_acquire);
-      if (e == nullptr) return nullptr;
-      if (e->key == key)
-        return e->version == version ? &e->verdict : nullptr;
-      idx = (idx + 1) & t->mask;
-    }
-    return nullptr;
-  }
   const auto it = map_.find(key);
   if (it == map_.end() || it->second.version != version) return nullptr;
   return &it->second.verdict;
@@ -252,13 +66,6 @@ const CachedVerdict* MegaflowCache::peek(const net::FlowKey& key,
 void MegaflowCache::insert(const net::FlowKey& key, CachedVerdict verdict,
                            std::uint64_t version) {
   if (!enabled_ || !verdict.cacheable) return;
-  if (concurrent()) insert_concurrent(key, std::move(verdict), version);
-  else insert_classic(key, std::move(verdict), version);
-}
-
-void MegaflowCache::insert_classic(const net::FlowKey& key,
-                                   CachedVerdict verdict,
-                                   std::uint64_t version) {
   sync_version(version);
   // Land the slot first, then evict if that pushed the table past capacity.
   // Steady-state size is capacity_ exactly as with evict-then-insert, but
@@ -285,70 +92,6 @@ void MegaflowCache::insert_classic(const net::FlowKey& key,
       return;
     }
   }
-}
-
-void MegaflowCache::insert_concurrent(const net::FlowKey& key,
-                                      CachedVerdict verdict,
-                                      std::uint64_t version) {
-  // Pin: we dereference the published table, and a racing version bump may
-  // retire it under us.
-  util::EpochReclaimer::Guard guard(util::EpochReclaimer::global());
-  const std::uint64_t h = mix_key(key);
-  Way& way = ways_[h % n_ways_];
-  auto* entry = new ConcEntry{key, version, std::move(verdict)};
-
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    ConcTable* t = way.table.load(std::memory_order_acquire);
-    if (t->version != version) {
-      if (t->version > version) {
-        // A newer generation is live; this verdict is already stale.
-        delete entry;
-        return;
-      }
-      t = swap_way(way, t, version, false);
-      if (t->version != version) {
-        delete entry;  // raced with an even newer bump
-        return;
-      }
-    }
-    if (t->size.load(std::memory_order_relaxed) >= way_limit_) {
-      // Way full: wholesale generation flush (the concurrent analog of
-      // random replacement — O(1), race-free, and what a kernel cache's
-      // bounded flush does under churn). Count the displaced entries.
-      swap_way(way, t, version, true);
-      continue;  // retry lands in the fresh table
-    }
-    std::size_t idx = (h >> 16) & t->mask;
-    for (std::size_t probes = 0; probes <= t->mask; ++probes) {
-      ConcEntry* cur = t->slots[idx].load(std::memory_order_acquire);
-      if (cur == nullptr) {
-        if (t->slots[idx].compare_exchange_strong(cur, entry,
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_acquire)) {
-          t->size.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        // Someone landed in this slot first; fall through to inspect it.
-      }
-      if (cur->key == key) {
-        // Replace in place; the displaced entry may still be referenced by
-        // pinned readers — retire it.
-        if (t->slots[idx].compare_exchange_strong(cur, entry,
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_acquire)) {
-          util::EpochReclaimer::global().retire(cur);
-        } else {
-          delete entry;  // a racing writer already refreshed this key
-        }
-        return;
-      }
-      idx = (idx + 1) & t->mask;
-    }
-    // Probed the whole table without a vacancy (size raced past limit):
-    // flush and take the second attempt.
-    swap_way(way, t, version, true);
-  }
-  delete entry;  // pathological race churn; drop the insert (it's a cache)
 }
 
 }  // namespace zen::dataplane

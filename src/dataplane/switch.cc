@@ -110,10 +110,7 @@ Switch::Switch(std::uint64_t datapath_id, SwitchConfig config)
   for (std::uint8_t i = 0; i < config_.n_tables; ++i) {
     tables_.emplace_back(config_.lookup_mode);
     tables_.back().set_capacity(config_.table_capacity, config_.eviction);
-    if (config_.concurrent_lookup) tables_.back().set_concurrent_reads(true);
   }
-  if (config_.concurrent_lookup)
-    cache_.enable_concurrent(config_.cache_ways);
   vacancy_down_.assign(config_.n_tables, false);
   shard_ = std::make_unique<obs::ShardStats>();
   shard_->bind(kSlotPackets, SwitchMetrics::get().packets);
@@ -228,7 +225,8 @@ void Switch::make_packet_in(PipelineContext& ctx,
                             openflow::PacketInReason reason,
                             std::uint8_t table_id, std::uint64_t cookie,
                             std::uint16_t max_len) {
-  if (ctx.result->packet_in) return;  // one PacketIn per packet
+  // One punt decision per packet: a PacketIn, or one suppressed punt.
+  if (ctx.result->packet_in || ctx.punt_suppressed) return;
   if (ctx.dry_run) {
     // Report the punt without buffering the frame, consuming rate-limit
     // tokens, or touching the punt counters.
@@ -259,6 +257,7 @@ void Switch::make_packet_in(PipelineContext& ctx,
     return;
   }
   if (packet_in_bucket_ && !packet_in_bucket_->try_consume(1.0, ctx.now)) {
+    ctx.punt_suppressed = true;
     ++packet_in_suppressed_;
     SwitchMetrics::get().packet_ins_suppressed.inc();
     ctx.verdict.cacheable = false;  // suppression is time-dependent
@@ -295,6 +294,7 @@ void Switch::emit_to_port(PipelineContext& ctx, std::uint32_t port_no) {
   auto& state = it->second;
   if (!state.desc.link_up) {
     if (!ctx.dry_run) ++state.stats.tx_dropped;
+    ctx.verdict.out_ports.push_back({port_no, ctx.queue_id});
     if (ctx.probe.active()) {
       ExplainStep s;
       s.kind = ExplainStepKind::kOutput;
@@ -385,10 +385,13 @@ void Switch::execute_output(PipelineContext& ctx, std::uint32_t port,
                      is_miss ? openflow::PacketInReason::NoMatch
                              : openflow::PacketInReason::Action,
                      table_id, cookie, max_len);
-      ctx.verdict.to_controller = true;
-      ctx.verdict.controller_table = table_id;
-      ctx.verdict.controller_cookie = cookie;
-      ctx.verdict.miss = is_miss;
+      if (!ctx.verdict.to_controller) {
+        ctx.verdict.to_controller = true;
+        ctx.verdict.controller_table = table_id;
+        ctx.verdict.controller_cookie = cookie;
+        ctx.verdict.controller_max_len = max_len;
+        ctx.verdict.miss = is_miss;
+      }
       if (ctx.pkt->modified()) ctx.verdict.cacheable = false;
       break;
     }
@@ -565,9 +568,12 @@ void Switch::run_pipeline(PipelineContext& ctx) {
       if (table_id == 0 && config_.default_miss == MissBehavior::PacketIn) {
         make_packet_in(ctx, openflow::PacketInReason::NoMatch, table_id, 0,
                        config_.packet_in_bytes);
-        ctx.verdict.to_controller = true;
-        ctx.verdict.controller_table = table_id;
-        ctx.verdict.miss = true;
+        if (!ctx.verdict.to_controller) {
+          ctx.verdict.to_controller = true;
+          ctx.verdict.controller_table = table_id;
+          ctx.verdict.controller_max_len = config_.packet_in_bytes;
+          ctx.verdict.miss = true;
+        }
       } else {
         ctx.result->dropped = ctx.result->outputs.empty() && !ctx.result->packet_in;
       }
@@ -589,7 +595,10 @@ void Switch::run_pipeline(PipelineContext& ctx) {
     for (const auto& ins : entry->instructions) {
       if (ctx.dropped) break;
       if (const auto* meter = std::get_if<openflow::MeterInstruction>(&ins)) {
-        ctx.verdict.meters.push_back(meter->meter_id);
+        ctx.verdict.meters.push_back({meter->meter_id,
+                                      ctx.verdict.credited.size(),
+                                      ctx.verdict.out_ports.size(),
+                                      ctx.verdict.to_controller});
         const bool allowed =
             ctx.dry_run
                 ? meters_.would_allow(meter->meter_id, ctx.pkt->wire_size(),
@@ -716,34 +725,33 @@ void Switch::ingress(double now, std::uint32_t in_port, net::Bytes frame,
       telemetry_->on_packet(static_cast<std::uint64_t>(now * 1e9), in_port,
                             key, size);
 
-  // Fast path: megaflow cache. Concurrent mode pins an epoch guard so the
-  // verdict pointer stays valid even if a racing version bump retires the
-  // table it lives in; classic mode takes the plain map probe.
-  std::optional<util::EpochReclaimer::Guard> epoch_guard;
-  const CachedVerdict* cached = nullptr;
-  if (cache_.concurrent()) {
-    epoch_guard.emplace(util::EpochReclaimer::global());
-    cached = cache_.find(key, version_, *epoch_guard);
-  } else {
-    cached = cache_.find(key, version_);
-  }
-  if (const CachedVerdict* verdict = cached) {
-    for (const std::uint32_t meter_id : verdict->meters) {
-      if (!meters_.allow(meter_id, size, now)) {
+  // Fast path: megaflow cache.
+  if (const CachedVerdict* verdict = cache_.find(key, version_)) {
+    // A meter refusal cuts the verdict where the pipeline would have
+    // stopped: what came before the meter still happens.
+    std::size_t n_credited = verdict->credited.size();
+    std::size_t n_outputs = verdict->out_ports.size();
+    bool to_controller = verdict->to_controller;
+    for (const CachedVerdict::Meter& m : verdict->meters) {
+      if (!meters_.allow(m.meter_id, size, now)) {
+        n_credited = m.credited_before;
+        n_outputs = m.outputs_before;
+        to_controller = m.to_controller_before;
         result.dropped = true;
-        return;
+        break;
       }
     }
-    for (const auto& entry : verdict->credited) {
-      entry->packet_count++;
-      entry->byte_count += size;
-      entry->last_used_at = now;
+    for (std::size_t i = 0; i < n_credited; ++i) {
+      FlowEntry& entry = *verdict->credited[i];
+      entry.packet_count++;
+      entry.byte_count += size;
+      entry.last_used_at = now;
     }
     // The PacketIn and its buffer copy the frame before it moves on.
-    if (verdict->to_controller && packet_in_bucket_ &&
+    if (to_controller && packet_in_bucket_ &&
         !packet_in_bucket_->try_consume(1.0, now)) {
       ++packet_in_suppressed_;
-    } else if (verdict->to_controller) {
+    } else if (to_controller) {
       openflow::PacketIn pin;
       pin.reason = verdict->miss ? openflow::PacketInReason::NoMatch
                                  : openflow::PacketInReason::Action;
@@ -752,13 +760,19 @@ void Switch::ingress(double now, std::uint32_t in_port, net::Bytes frame,
       pin.in_port = in_port;
       pin.total_len = static_cast<std::uint16_t>(size);
       pin.buffer_id = buffer_packet(frame);
-      const std::size_t n = std::min<std::size_t>(config_.packet_in_bytes, size);
+      const std::size_t n =
+          std::min<std::size_t>(verdict->controller_max_len, size);
       pin.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
       result.packet_in = std::move(pin);
     }
-    for (const auto& [out_port, queue_id] : verdict->out_ports) {
+    for (std::size_t i = 0; i < n_outputs; ++i) {
+      const auto [out_port, queue_id] = verdict->out_ports[i];
       const auto it = ports_.find(out_port);
-      if (it == ports_.end() || !it->second.desc.link_up) continue;
+      if (it == ports_.end()) continue;
+      if (!it->second.desc.link_up) {
+        ++it->second.stats.tx_dropped;
+        continue;
+      }
       ++it->second.stats.tx_packets;
       it->second.stats.tx_bytes += size;
       Egress& egress = result.outputs.emplace_back();
@@ -771,7 +785,10 @@ void Switch::ingress(double now, std::uint32_t in_port, net::Bytes frame,
         result.outputs[i].frame = frame;
       result.outputs.back().frame = std::move(frame);
     }
-    if (result.outputs.empty() && !result.packet_in) result.dropped = true;
+    if (result.outputs.empty() && !result.packet_in) {
+      result.dropped = true;
+      ++port_it->second.stats.rx_dropped;
+    }
     for (Egress& egress : result.outputs) {
       if (telemetry_stamp)
         net::append_telemetry_trailer(egress.frame);

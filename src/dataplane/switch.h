@@ -84,13 +84,6 @@ struct SwitchConfig {
   // fail_timeout_s of controller silence (0 disables detection entirely).
   FailMode fail_mode = FailMode::Secure;
   double fail_timeout_s = 0;
-  // Lock-free lookup structures: sharded megaflow ways (epoch-reclaimed on
-  // version bumps) and flow-table read snapshots. Lets lookups race rule
-  // churn safely when the sharded packet engine drives switches from
-  // worker threads. Off by default: the classic structures are faster
-  // single-threaded and their eviction behavior is the documented one.
-  bool concurrent_lookup = false;
-  std::size_t cache_ways = 4;
 };
 
 struct Egress {
@@ -261,6 +254,7 @@ class Switch {
     ForwardResult* result = nullptr;
     CachedVerdict verdict;  // built as we go; inserted on cacheable misses
     bool dropped = false;
+    bool punt_suppressed = false;  // the rate limiter refused this packet's punt
     // Dry-run mode (Switch::explain): forward decisions are computed but
     // nothing observable changes — stats, meters, caches, buffers and
     // learned state are all left untouched.

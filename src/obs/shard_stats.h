@@ -2,26 +2,18 @@
 //
 // Global Counter handles are shared atomics: every inc is a lock-prefixed
 // RMW on a cacheline contended by whoever else holds the handle. A
-// ShardStats block gives one owner (today: one dataplane switch; tomorrow:
-// one per-core packet engine, ROADMAP item 1) a private set of
-// cacheline-aligned slots it bumps with plain load/store — no RMW, no
-// sharing — and binds each slot to a registry Counter. Deltas drain
-// lazily: MetricsRegistry flushes every registered shard before taking a
-// snapshot or rendering, so readers always see up-to-date totals while the
-// hot path never touches the shared cacheline.
+// ShardStats block gives one owner (a dataplane switch, an event queue) a
+// private set of cacheline-aligned slots it bumps with plain load/store —
+// no RMW, no sharing — and binds each slot to a registry Counter. Deltas
+// drain lazily: MetricsRegistry flushes every registered shard before
+// taking a snapshot or rendering, so readers always see up-to-date totals
+// while the hot path never touches the shared cacheline.
 //
 // flush() uses exchange(), so a concurrent flusher cannot double count;
-// bump() stays single-writer (the shard's owner).
-//
-// Threading protocol under the sharded packet engine (sim::ParallelEngine):
-// each switch's ShardStats — and each engine worker's own block — has
-// exactly one logical writer at any instant, because a switch is owned by
-// one worker for the duration of a slice and run_batch() is a quiescence
-// barrier. Registry drains (snapshot/render) happen on the coordinator
-// *between* batches, when every worker is parked, so the plain-store bump
-// never races the exchange in flush(). Code that snapshots metrics from a
-// non-coordinator thread while a slice is in flight is outside the
-// contract (and is what the TSan CI job exists to catch).
+// bump() stays single-writer (the shard's owner). The simulator is
+// single-threaded, so owner and flusher are the same thread there; a block
+// owned by another thread must only be flushed once that thread stopped
+// bumping it (its destructor flushes the residue).
 //
 // Under ZEN_OBS_DISABLED the type is empty and every method is an inline
 // no-op.
@@ -61,8 +53,8 @@ class ShardStats {
   void flush() noexcept;
 
   // Undrained count in one slot (tests: verify lazy aggregation — the sum
-  // of per-core pendings plus the bound counters' values must equal the
-  // single-threaded totals at any quiesced point).
+  // of per-shard pendings plus the bound counters' values must equal the
+  // true totals at any quiesced point).
   std::uint64_t pending(std::size_t slot) const noexcept {
     return slots_[slot].pending.load(std::memory_order_relaxed);
   }

@@ -21,8 +21,7 @@
 // yields exactly one error from BatchReader::next() and ends iteration of
 // *that batch only* — bytes cannot be resynchronized past a corrupt
 // length, but the next delivered batch starts a fresh reader, so one bad
-// frame never poisons the connection (unlike MessageStream, which models
-// a byte-stream transport and must poison).
+// frame never poisons the connection.
 //
 // Arena lifetime rules: FrameViews (and the spans inside decoded
 // Experimenter payloads before materialization) borrow the receive

@@ -3,7 +3,6 @@
 #include "net/packet.h"
 #include "net/telemetry.h"
 #include "obs/obs.h"
-#include "sim/engine.h"
 #include "telemetry/export.h"
 #include "util/clock.h"
 #include "util/logging.h"
@@ -105,14 +104,6 @@ SimNetwork::SimNetwork(topo::GeneratedTopo generated, SimOptions options)
 
   if (options_.expiry_interval_s > 0) schedule_expiry_sweep();
   if (options_.telemetry.enabled) configure_telemetry(options_.telemetry);
-
-  // Sharded packet engine: N > 1 fans same-instant deliveries out across
-  // per-core workers. Inline otherwise — no pool, no threads.
-  if (options_.engine_workers > 1) {
-    engine_ = std::make_unique<ParallelEngine>(ParallelEngine::Options{
-        .workers = options_.engine_workers, .spin = options_.engine_spin});
-    events_.set_engine(engine_.get());
-  }
 
   // Make this simulation's virtual clock the process time source so log
   // prefixes and trace spans carry virtual seconds. Most recent network
@@ -414,17 +405,7 @@ void SimNetwork::schedule_delivery(double at, std::uint32_t to,
   rec.frame = std::move(frame);
   rec.to = to;
   rec.port = port;
-  // Two-phase arrival, sharded by destination node. The compute half runs
-  // the switch's match/lookup pipeline (which touches only that switch's
-  // tables, cache, meters and per-switch metrics — all owned by the
-  // node's shard during a slice); everything with global reach happens in
-  // the apply half on the coordinator, in seq order. With no engine
-  // installed the whole arrival runs at once (fire), the classic
-  // single-threaded delivery. Host arrivals keep a no-op compute phase:
-  // they stay sharded so they never fragment a slice, but the
-  // telemetry-strip/SLO/host path shares sink-side state and thus belongs
-  // to the coordinator.
-  events_.post_sharded_at(at, endpoints_[to].id, deliveries_, slot);
+  events_.post_at(at, deliveries_, slot);
 }
 
 // The slot is released only after the arrival, so nothing the arrival
@@ -432,27 +413,6 @@ void SimNetwork::schedule_delivery(double at, std::uint32_t to,
 void SimNetwork::Deliveries::fire(std::uint32_t slot) {
   net.arrive(net.in_flight_[slot]);
   net.in_flight_free_.push_back(slot);
-}
-
-void SimNetwork::Deliveries::compute(std::uint32_t slot) {
-  InFlight& rec = net.in_flight_[slot];
-  const Endpoint& ep = net.endpoints_[rec.to];
-  if (ep.host || !ep.sw || !ep.up) return;
-  rec.computed = std::make_unique<dataplane::ForwardResult>();
-  ep.sw->ingress(net.now(), rec.port, std::move(rec.frame.bytes),
-                 rec.frame.meta, *rec.computed);
-}
-
-void SimNetwork::Deliveries::apply(std::uint32_t slot) {
-  std::unique_ptr<dataplane::ForwardResult> computed =
-      std::move(net.in_flight_[slot].computed);
-  if (!computed) {
-    fire(slot);
-    return;
-  }
-  const std::uint32_t to = net.in_flight_[slot].to;
-  net.in_flight_free_.push_back(slot);
-  net.handle_forward_result(to, *computed);
 }
 
 void SimNetwork::handle_forward_result(std::uint32_t sw,

@@ -45,15 +45,6 @@ struct SimOptions {
   // INT-style telemetry + sampled flow export (disabled by default, so a
   // plain simulation is bit-for-bit identical to one without telemetry).
   telemetry::Options telemetry;
-  // Dataplane worker threads for the sharded packet engine. 0 or 1 runs
-  // everything inline on the simulation thread (byte-identical to the
-  // classic single-threaded simulator); N > 1 partitions switches across
-  // N per-core engines and fans same-instant independent deliveries out
-  // in parallel. Final state is identical for any value — see
-  // EventQueue's two-phase sharded dispatch.
-  unsigned engine_workers = 0;
-  // Worker spin before parking (-1 = auto). Forwarded to the engine.
-  int engine_spin = -1;
 };
 
 class SimNetwork {
@@ -69,8 +60,6 @@ class SimNetwork {
 
   EventQueue& events() noexcept { return events_; }
   double now() const noexcept { return events_.now(); }
-  // The sharded packet engine (nullptr when engine_workers <= 1).
-  ParallelEngine* engine() noexcept { return engine_.get(); }
   topo::Topology& topology() noexcept { return gen_.topo; }
   const topo::GeneratedTopo& generated() const noexcept { return gen_; }
 
@@ -189,15 +178,11 @@ class SimNetwork {
     Frame frame;
     std::uint32_t to = 0;  // endpoint index
     std::uint32_t port = 0;
-    // Sharded slices only: the switch verdict of the compute phase.
-    std::unique_ptr<dataplane::ForwardResult> computed;
   };
   // Typed event receivers: arg is an InFlight slot / link_id * 2 + dir.
   struct Deliveries final : EventQueue::Handler {
     explicit Deliveries(SimNetwork& n) : net(n) {}
     void fire(std::uint32_t slot) override;
-    void compute(std::uint32_t slot) override;
-    void apply(std::uint32_t slot) override;
     SimNetwork& net;
   };
   struct TxDone final : EventQueue::Handler {
@@ -214,14 +199,10 @@ class SimNetwork {
                 std::uint32_t queue_id = 0, std::uint32_t in_port = 0);
   void start_transmission(const topo::Link& link, int dir, Frame&& frame);
   void on_transmit_complete(topo::LinkId link_id, int dir);
-  // Schedules the arrival of `frame` at endpoint `to` as a two-phase
-  // sharded event keyed by the destination node: the switch-lookup half
-  // (ingress) runs in the compute phase on the node's shard, the side
-  // effects (transmit, PacketIn fan-out, host delivery) in the apply phase
-  // on the coordinator, in seq order.
+  // Schedules the arrival of `frame` at endpoint `to` as a typed event.
   void schedule_delivery(double at, std::uint32_t to, std::uint32_t port,
                          Frame&& frame);
-  // The frame of in-flight record `rec` arrives (the whole delivery, inline).
+  // The frame of in-flight record `rec` arrives.
   void arrive(InFlight& rec);
   void deliver_to_host(const Endpoint& ep, std::uint32_t port, Frame&& frame);
   // Endpoint index `sw` transmits the outputs and raises the PacketIn.
@@ -240,7 +221,6 @@ class SimNetwork {
   topo::GeneratedTopo gen_;
   SimOptions options_;
   EventQueue events_;
-  std::unique_ptr<ParallelEngine> engine_;  // after events_: torn down first
   std::unordered_map<topo::NodeId, std::unique_ptr<dataplane::Switch>> switches_;
   std::unordered_map<topo::NodeId, std::unique_ptr<SimHost>> hosts_;
   std::unordered_map<net::Ipv4Address, topo::NodeId> ip_to_host_;
@@ -252,7 +232,7 @@ class SimNetwork {
   std::vector<std::uint32_t> in_flight_free_;
   Deliveries deliveries_{*this};
   TxDone tx_done_{*this};
-  // Reused by inline deliveries, so a warm hop allocates no outputs vector.
+  // Reused by every delivery, so a warm hop allocates no outputs vector.
   dataplane::ForwardResult scratch_;
   std::vector<DatapathEventFn> event_handlers_;
   // Telemetry: per-switch state, plus host -> (edge switch, port) for

@@ -9,10 +9,12 @@
 #include "controller/apps/stats_monitor.h"
 #include "controller/apps/te_installer.h"
 #include "controller/controller.h"
+#include "obs/metrics.h"
 #include "openflow/codec.h"
 #include "te/allocation.h"
 #include "te/demand.h"
 #include "topo/generators.h"
+#include "util/rng.h"
 
 namespace zen::controller {
 namespace {
@@ -495,6 +497,110 @@ TEST(L3RoutingDeterminism, GoldenSouthboundStream) {
   // exact same southbound stream.
   const std::vector<std::uint8_t> unbatched = run_once(false);
   EXPECT_EQ(first, unbatched);
+}
+
+// Full end state of a seeded random-traffic run: per-switch rule tables
+// (with counters), per-host delivery counts, megaflow traffic and the
+// deltas of the deterministic global metric totals.
+struct RunFingerprint {
+  std::vector<std::string> rules;  // sorted
+  std::vector<std::uint64_t> host_udp;  // by host index
+  std::vector<double> metrics;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+
+  bool operator==(const RunFingerprint&) const = default;
+};
+
+std::vector<double> deterministic_metric_totals() {
+  const auto snap = obs::MetricsRegistry::global().snapshot();
+  std::vector<double> totals;
+  for (const char* name :
+       {"zen_sim_events_total", "zen_dataplane_packets_total",
+        "zen_dataplane_megaflow_hits_total",
+        "zen_dataplane_megaflow_misses_total",
+        "zen_sim_host_frames_received_total",
+        "zen_controller_flow_mods_total", "zen_sim_host_frames_sent_total",
+        "zen_controller_packet_ins_total"}) {
+    double total = 0;
+    for (const auto& series : snap.series)
+      if (series.name == name) total += series.value;
+    totals.push_back(total);
+  }
+  return totals;
+}
+
+RunFingerprint run_seeded(std::uint64_t seed) {
+  RunFingerprint fp;
+  fp.metrics = deterministic_metric_totals();
+  {
+    sim::SimNetwork net(topo::make_fat_tree(4), drop_miss_options());
+    Controller ctrl(net);
+    Discovery::Options disc;
+    disc.stop_after_s = 2.5;
+    ctrl.add_app<Discovery>(disc);
+    apps::L3Routing::Options options;
+    options.use_ecmp_groups = true;
+    ctrl.add_app<apps::L3Routing>(options);
+    ctrl.connect_all();
+    net.run_until(3.0);
+
+    util::Rng rng(seed);
+    double t = 3.0;
+    for (int round = 0; round < 3; ++round) {
+      for (int i = 0; i < 32; ++i) {
+        const std::size_t src = rng.next_below(16);
+        const std::size_t dst = (src + 1 + rng.next_below(15)) % 16;
+        net.host_at(net.generated().hosts[src])
+            .send_udp(net.host_at(net.generated().hosts[dst]).ip(),
+                      static_cast<std::uint16_t>(1000 + rng.next_below(128)),
+                      5001,
+                      64 + static_cast<std::size_t>(rng.next_below(4)) * 200);
+      }
+      net.run_until(t += 1.0);
+    }
+    net.run_until(t + 1.0);
+
+    for (const auto& [id, sw] : net.switches()) {
+      fp.cache_hits += sw->cache().hits();
+      fp.cache_misses += sw->cache().misses();
+      for (std::uint8_t tb = 0; tb < sw->table_count(); ++tb) {
+        for (const auto& entry : sw->table(tb).entries()) {
+          fp.rules.push_back(
+              std::to_string(id) + "/" + std::to_string(tb) + "/" +
+              std::to_string(entry->priority) + "/" +
+              std::to_string(entry->cookie) + "/" +
+              std::to_string(
+                  std::hash<net::FlowKey>{}(entry->match.value())) +
+              "/" + std::to_string(entry->match.field_count()) + "/" +
+              std::to_string(entry->packet_count) + "/" +
+              std::to_string(entry->byte_count));
+        }
+      }
+    }
+    std::sort(fp.rules.begin(), fp.rules.end());
+    for (const auto host_id : net.generated().hosts)
+      fp.host_udp.push_back(net.host_at(host_id).stats().udp_received);
+  }
+  const std::vector<double> after = deterministic_metric_totals();
+  for (std::size_t i = 0; i < after.size(); ++i)
+    fp.metrics[i] = after[i] - fp.metrics[i];
+  return fp;
+}
+
+// A second run of the same seed in the same process (different heap
+// addresses, warm metric registry) must land in exactly the same state.
+TEST(SeededRunDeterminism, FinalStateRepeatsOnSeed42) {
+  const RunFingerprint first = run_seeded(42);
+  ASSERT_FALSE(first.rules.empty());
+  ASSERT_GT(first.cache_hits, 0u);
+  EXPECT_EQ(run_seeded(42), first);
+}
+
+TEST(SeededRunDeterminism, FinalStateRepeatsOnSeed7) {
+  const RunFingerprint first = run_seeded(7);
+  ASSERT_FALSE(first.rules.empty());
+  EXPECT_EQ(run_seeded(7), first);
 }
 
 }  // namespace

@@ -154,6 +154,20 @@ TEST(ChannelFaults, DeterministicPerSeed) {
   EXPECT_NE(run(9), run(10));
 }
 
+// Decodes every frame the agent sends back on `channel` into `replies`.
+void collect_replies(Channel& channel,
+                     std::vector<openflow::OwnedMessage>& replies) {
+  channel.set_receiver(Channel::Side::A,
+                       [&replies](std::vector<std::uint8_t> batch) {
+                         openflow::BatchReader reader(batch);
+                         while (auto view = reader.next()) {
+                           if (!view->ok()) break;
+                           auto msg = openflow::decode_frame(view->value());
+                           if (msg.ok()) replies.push_back(std::move(msg.value()));
+                         }
+                       });
+}
+
 bool acks(const openflow::BarrierReply& reply, std::uint32_t xid) {
   return std::find(reply.acked.begin(), reply.acked.end(), xid) !=
          reply.acked.end();
@@ -165,12 +179,7 @@ TEST(BarrierAck, OvertakingBarrierDoesNotFalseAck) {
   SwitchAgent agent(net, 1, channel);
 
   std::vector<openflow::OwnedMessage> replies;
-  openflow::MessageStream stream;
-  channel.set_receiver(Channel::Side::A, [&](std::vector<std::uint8_t> bytes) {
-    stream.feed(bytes);
-    while (auto next = stream.next())
-      if (next->ok()) replies.push_back(std::move(next->value()));
-  });
+  collect_replies(channel, replies);
 
   // The mod (xid 10) is lost or delayed; its chasing barrier (xid 11)
   // reaches the agent first. The reply's ack set must not cover 10.
@@ -207,12 +216,7 @@ TEST(BarrierAck, DeliveredLaterModDoesNotVouchForEarlierLostMod) {
   SwitchAgent agent(net, 1, channel);
 
   std::vector<openflow::OwnedMessage> replies;
-  openflow::MessageStream stream;
-  channel.set_receiver(Channel::Side::A, [&](std::vector<std::uint8_t> bytes) {
-    stream.feed(bytes);
-    while (auto next = stream.next())
-      if (next->ok()) replies.push_back(std::move(next->value()));
-  });
+  collect_replies(channel, replies);
 
   // Mod A (xid 10) never sent — the channel ate it. Mod B + barrier land.
   channel.send(Channel::Side::B, openflow::encode_frame(openflow::Message{simple_mod(7)}, 12));
@@ -236,12 +240,7 @@ TEST(BarrierAck, RejectedModIsNotAcked) {
   SwitchAgent agent(net, 1, channel);
 
   std::vector<openflow::OwnedMessage> replies;
-  openflow::MessageStream stream;
-  channel.set_receiver(Channel::Side::A, [&](std::vector<std::uint8_t> bytes) {
-    stream.feed(bytes);
-    while (auto next = stream.next())
-      if (next->ok()) replies.push_back(std::move(next->value()));
-  });
+  collect_replies(channel, replies);
 
   openflow::FlowMod bad = simple_mod(7);
   bad.table_id = 99;  // invalid table
@@ -264,12 +263,7 @@ TEST(BarrierAck, RebootClearsAcksFromThePreviousBoot) {
   SwitchAgent agent(net, 1, channel);
 
   std::vector<openflow::OwnedMessage> replies;
-  openflow::MessageStream stream;
-  channel.set_receiver(Channel::Side::A, [&](std::vector<std::uint8_t> bytes) {
-    stream.feed(bytes);
-    while (auto next = stream.next())
-      if (next->ok()) replies.push_back(std::move(next->value()));
-  });
+  collect_replies(channel, replies);
 
   channel.send(Channel::Side::B, openflow::encode_frame(openflow::Message{simple_mod(5)}, 30));
   net.run_until(0.01);

@@ -120,41 +120,40 @@ TEST(FuzzCodec, CorruptedValidMessagesIntoDecoder) {
 TEST(FuzzCodec, StreamWithGarbageInterleaved) {
   util::Rng rng(0x57e4);
   for (int trial = 0; trial < 200; ++trial) {
-    openflow::MessageStream stream;
-    // Valid prefix...
-    const auto good =
+    // A valid frame, then garbage, in one batch: the valid prefix decodes,
+    // and the garbage ends the batch (or parses as frames) without a crash
+    // or a spin.
+    openflow::Bytes batch =
         openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 1);
-    stream.feed(good);
-    int decoded = 0;
-    while (auto msg = stream.next()) {
-      EXPECT_TRUE(msg->ok());
-      ++decoded;
-    }
-    EXPECT_EQ(decoded, 1);
-    // ...then garbage: the stream must poison (or wait for more bytes),
-    // never crash or spin.
-    stream.feed(random_bytes(rng, 64));
+    const net::Bytes garbage = random_bytes(rng, 64);
+    batch.insert(batch.end(), garbage.begin(), garbage.end());
+    openflow::BatchReader reader(batch);
+    auto first = reader.next();
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(first->ok());
+    EXPECT_TRUE(openflow::decode_frame(first->value()).ok());
     int safety = 0;
-    while (auto msg = stream.next()) {
-      if (++safety > 100) FAIL() << "stream spinning";
-      if (!msg->ok()) break;
+    while (auto view = reader.next()) {
+      if (++safety > 100) FAIL() << "reader spinning";
+      if (!view->ok()) break;
+      (void)openflow::decode_frame(view->value());
     }
   }
 }
 
 TEST(FuzzCodec, LengthFieldAttacksBounded) {
-  // A frame claiming an enormous length must poison the stream, not
-  // allocate or wait forever.
-  openflow::MessageStream stream;
+  // A frame claiming an enormous length must be rejected, not allocated
+  // or waited on.
   openflow::Bytes evil = {openflow::kProtocolVersion,
                           0 /*Hello*/,
                           0x7f, 0xff, 0xff, 0xff,  // length = 2 GiB
                           0, 0, 0, 1};
-  stream.feed(evil);
-  auto msg = stream.next();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_FALSE(msg->ok());
-  EXPECT_TRUE(stream.poisoned());
+  openflow::BatchReader reader(evil);
+  auto view = reader.next();
+  ASSERT_TRUE(view.has_value());
+  EXPECT_FALSE(view->ok());
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_FALSE(openflow::decode(evil).ok());
 }
 
 // ---- dataplane under random rules and traffic ----

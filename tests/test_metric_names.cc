@@ -54,8 +54,6 @@ const char* const kGoldenNames[] = {
     "zen_sim_events_total",
     "zen_sim_host_frames_received_total",
     "zen_sim_host_frames_sent_total",
-    "zen_sim_parallel_events_total",
-    "zen_sim_parallel_slices_total",
     "zen_sim_queue_depth",
     "zen_slo_burn_rate",
     "zen_slo_state",

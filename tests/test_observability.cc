@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/zen.h"
 #include "obs/obs.h"
@@ -95,6 +97,41 @@ TEST(ShardStats, UnboundSlotAccumulatesSilently) {
   shard.bump(3, 100);  // no target bound: flush must not crash
   shard.flush();
   SUCCEED();
+}
+
+TEST(ShardStats, MultiShardConcurrentBumpsSumExactly) {
+  Counter& total = MetricsRegistry::global().counter(
+      "zen_test_shard_agg_total", "", "test-only aggregation counter");
+  const std::uint64_t before = total.value();
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kBumps = 50000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&total, t] {
+      ShardStats shard;  // one block per thread: single-writer bumps
+      shard.bind(0, total);
+      for (std::uint64_t i = 0; i < kBumps + static_cast<std::uint64_t>(t);
+           ++i)
+        shard.bump(0);
+      // Destructor flushes the residue.
+    });
+  }
+  std::uint64_t expected = 0;
+  for (int t = 0; t < kThreads; ++t) expected += kBumps + t;
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(total.value() - before, kObsEnabled ? expected : 0);
+}
+
+TEST(ShardStats, PendingExposesUndrainedDelta) {
+  Counter& c = MetricsRegistry::global().counter("zen_test_shard_pending_total");
+  ShardStats shard;
+  shard.bind(0, c);
+  shard.bump(0, 7);
+  EXPECT_EQ(shard.pending(0), kObsEnabled ? 7u : 0u);
+  const std::uint64_t before = c.value();
+  shard.flush();
+  EXPECT_EQ(shard.pending(0), 0u);
+  EXPECT_EQ(c.value() - before, kObsEnabled ? 7u : 0u);
 }
 
 // ---- flight recorder ----

@@ -3,7 +3,6 @@
 #include "net/headers.h"
 #include "net/packet.h"
 #include "openflow/codec.h"
-#include "util/rng.h"
 
 namespace zen::openflow {
 namespace {
@@ -360,30 +359,9 @@ TEST(Codec, RejectsLengthMismatch) {
   EXPECT_FALSE(decode(wire).ok());
 }
 
-// ---- stream framing ----
-
-TEST(Stream, ReassemblesByteByByte) {
-  const Bytes a = encode_frame(Message{EchoRequest{{1, 2, 3}}}, 10);
-  const Bytes b = encode_frame(Message{BarrierRequest{}}, 11);
-  Bytes joined = a;
-  joined.insert(joined.end(), b.begin(), b.end());
-
-  MessageStream stream;
-  std::vector<std::uint16_t> xids;
-  for (const std::uint8_t byte : joined) {
-    stream.feed(std::span(&byte, 1));
-    while (auto msg = stream.next()) {
-      ASSERT_TRUE(msg->ok());
-      xids.push_back(msg->value().xid);
-    }
-  }
-  ASSERT_EQ(xids.size(), 2u);
-  EXPECT_EQ(xids[0], 10);
-  EXPECT_EQ(xids[1], 11);
-}
+// ---- batch framing ----
 
 TEST(Stream, HandlesManyMessagesInOneFeed) {
-  MessageStream stream;
   Bytes all;
   const int n = 100;
   for (int i = 0; i < n; ++i) {
@@ -391,57 +369,29 @@ TEST(Stream, HandlesManyMessagesInOneFeed) {
                              static_cast<std::uint16_t>(i));
     all.insert(all.end(), one.begin(), one.end());
   }
-  stream.feed(all);
+  BatchReader reader(all);
   int count = 0;
-  while (auto msg = stream.next()) {
-    ASSERT_TRUE(msg->ok());
-    EXPECT_EQ(msg->value().xid, count);
+  while (auto view = reader.next()) {
+    ASSERT_TRUE(view->ok());
+    auto msg = decode_frame(view->value());
+    ASSERT_TRUE(msg.ok());
+    EXPECT_EQ(msg.value().xid, static_cast<Xid>(count));
     ++count;
   }
   EXPECT_EQ(count, n);
 }
 
 TEST(Stream, PoisonsOnCorruptHeader) {
-  MessageStream stream;
-  const Bytes junk(kHeaderSize, 0xff);
-  stream.feed(junk);
-  auto msg = stream.next();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_FALSE(msg->ok());
-  EXPECT_TRUE(stream.poisoned());
-  EXPECT_FALSE(stream.next().has_value());
-}
-
-TEST(Stream, RandomizedRoundtripProperty) {
-  util::Rng rng(99);
-  MessageStream stream;
-  std::vector<Bytes> sent;
-  Bytes wire;
-  for (int i = 0; i < 200; ++i) {
-    Bytes data(rng.next_below(64));
-    for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next_u64());
-    const Bytes one =
-        encode_frame(Message{EchoRequest{data}}, static_cast<std::uint16_t>(i));
-    sent.push_back(data);
-    wire.insert(wire.end(), one.begin(), one.end());
-  }
-  // Feed in random-sized chunks.
-  std::size_t pos = 0;
-  std::size_t received = 0;
-  while (pos < wire.size()) {
-    const std::size_t chunk =
-        std::min<std::size_t>(1 + rng.next_below(40), wire.size() - pos);
-    stream.feed(std::span(wire.data() + pos, chunk));
-    pos += chunk;
-    while (auto msg = stream.next()) {
-      ASSERT_TRUE(msg->ok());
-      const auto* echo = std::get_if<EchoRequest>(&msg->value().msg);
-      ASSERT_NE(echo, nullptr);
-      EXPECT_EQ(echo->data, sent[received]);
-      ++received;
-    }
-  }
-  EXPECT_EQ(received, sent.size());
+  Bytes batch(kHeaderSize, 0xff);
+  const Bytes good = encode_frame(Message{BarrierRequest{}}, 1);
+  batch.insert(batch.end(), good.begin(), good.end());
+  BatchReader reader(batch);
+  auto view = reader.next();
+  ASSERT_TRUE(view.has_value());
+  EXPECT_FALSE(view->ok());
+  // No resync past a corrupt length: the frame behind it is never read.
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.frames_yielded(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <map>
 #include <random>
 
-#include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "topo/generators.h"
@@ -68,10 +67,9 @@ TEST(EventQueue, PastEventsClampToNow) {
 }
 
 // Closures and typed events share one (time, seq) order. A seeded mix of
-// plain timers, typed events and sharded typed events, with colliding
-// timestamps, past times and follow-ons scheduled from inside callbacks,
-// must fire exactly in the order of a reference multimap queue keyed by
-// (time, scheduling sequence).
+// plain timers and typed events, with colliding timestamps, past times and
+// follow-ons scheduled from inside callbacks, must fire exactly in the
+// order of a reference multimap queue keyed by (time, scheduling sequence).
 class OrderOracle final : public EventQueue::Handler {
  public:
   OrderOracle(EventQueue& q, std::uint64_t seed) : q_(q), rng_(seed) {}
@@ -92,17 +90,10 @@ class OrderOracle final : public EventQueue::Handler {
     // timestamps are the common case.
     const double at = q_.now() + 0.25 * (static_cast<double>(rng_() % 4) - 1);
     ref_.emplace(std::pair{std::max(at, ref_now_), ref_seq_++}, id);
-    switch (rng_() % 3) {
-      case 0:
-        q_.schedule_at(at, [this, id] { on_fire(id); });
-        break;
-      case 1:
-        q_.post_at(at, *this, id);
-        break;
-      default:
-        q_.post_sharded_at(at, rng_() % 3, *this, id);
-        break;
-    }
+    if (rng_() % 2 == 0)
+      q_.schedule_at(at, [this, id] { on_fire(id); });
+    else
+      q_.post_at(at, *this, id);
   }
 
   void on_fire(std::uint32_t id) {
@@ -140,18 +131,6 @@ TEST(EventQueue, MixedEventKindsFireInReferenceOrder) {
     EXPECT_GT(oracle.fired().size(), 1000u);
     EXPECT_EQ(oracle.fired(), oracle.expected()) << "seed " << seed;
   }
-}
-
-TEST(EventQueue, MixedEventKindsKeepReferenceOrderUnderTheEngine) {
-  ParallelEngine engine({.workers = 2, .spin = 0});
-  EventQueue q;
-  q.set_engine(&engine);
-  OrderOracle oracle(q, 99);
-  oracle.seed_events(64);
-  q.run();
-  EXPECT_TRUE(oracle.drained());
-  EXPECT_EQ(oracle.fired(), oracle.expected());
-  EXPECT_GT(q.parallel_events(), 0u);  // some same-instant slices fanned out
 }
 
 // ---- addressing ----
