@@ -1,12 +1,13 @@
 // E2 — southbound wire-protocol codec throughput.
 //
 // Encode/decode rates for the messages that dominate controller traffic
-// (FlowMod, PacketIn, PacketOut) plus stream reassembly, i.e. the per-flow
-// control-channel cost a controller pays.
+// (FlowMod, PacketIn, PacketOut) plus batched arena encoding, i.e. the
+// per-flow control-channel cost a controller pays. Decode is the receive
+// path's parse_frame + decode_frame.
 #include <benchmark/benchmark.h>
 
 #include "net/headers.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 
 namespace {
 
@@ -50,7 +51,7 @@ BENCHMARK(BM_EncodeFlowMod);
 void BM_DecodeFlowMod(benchmark::State& state) {
   const Bytes wire = encode_frame(Message{typical_flow_mod()}, 1);
   for (auto _ : state) {
-    auto msg = decode(wire);
+    auto msg = decode_frame(parse_frame(wire).value());
     benchmark::DoNotOptimize(msg);
   }
   state.SetItemsProcessed(state.iterations());
@@ -72,7 +73,7 @@ BENCHMARK(BM_EncodePacketIn);
 void BM_DecodePacketIn(benchmark::State& state) {
   const Bytes wire = encode_frame(Message{typical_packet_in()}, 1);
   for (auto _ : state) {
-    auto msg = decode(wire);
+    auto msg = decode_frame(parse_frame(wire).value());
     benchmark::DoNotOptimize(msg);
   }
   state.SetItemsProcessed(state.iterations());
@@ -88,7 +89,7 @@ void BM_RoundtripPacketOut(benchmark::State& state) {
   out.data.assign(128, 0x11);
   for (auto _ : state) {
     auto wire = encode_frame(Message{out}, 9);
-    auto back = decode(wire);
+    auto back = decode_frame(parse_frame(wire).value());
     benchmark::DoNotOptimize(back);
   }
   state.SetItemsProcessed(state.iterations());

@@ -93,10 +93,9 @@ void Controller::connect(const std::vector<Dpid>& dpids) {
     session.channel =
         std::make_unique<Channel>(net_.events(), options_.channel_latency_s);
     session.southbound = std::make_unique<Southbound>(
-        net_.events(), *session.channel, Channel::Side::A,
-        options_.batch_southbound);
-    session.agent = std::make_unique<SwitchAgent>(
-        net_, dpid, *session.channel, conn_id_, options_.batch_southbound);
+        net_.events(), *session.channel, Channel::Side::A);
+    session.agent = std::make_unique<SwitchAgent>(net_, dpid, *session.channel,
+                                                  conn_id_);
     session.backoff_s = options_.reconnect_backoff_initial_s;
     const Dpid id = dpid;
     session.southbound->set_receiver(
@@ -282,10 +281,6 @@ void Controller::send(Dpid dpid, const openflow::Message& msg,
 
 void Controller::request_chasing_barrier(Dpid dpid) {
   auto& session = sessions_.at(dpid);
-  if (!options_.batch_southbound) {
-    send(dpid, openflow::Message{openflow::BarrierRequest{}}, next_xid(dpid));
-    return;
-  }
   if (session.barrier_scheduled) return;
   session.barrier_scheduled = true;
   // Zero-delay event: fires after the instant's remaining synchronous
@@ -332,15 +327,17 @@ openflow::Xid Controller::send_tracked(Dpid dpid, openflow::Message msg,
         obs::SpanTracer::key(SpanKey::kModTracked, conn_id_, dpid, xid),
         span);
   }
-  session.pending_completions.emplace(
-      xid, PendingCompletion{msg, std::move(done), 1, span});
+  const PendingCompletion& pending =
+      session.pending_completions
+          .emplace(xid, PendingCompletion{std::move(msg), std::move(done), 1,
+                                          span})
+          .first->second;
   // Chase with a barrier; its per-xid ack set resolves this and any
-  // earlier still-pending sends the agent actually processed. Batched
-  // mode arranges the barrier first so its zero-delay event precedes the
-  // flush event and the barrier rides the same batch as the mod.
-  if (options_.batch_southbound) request_chasing_barrier(dpid);
-  send(dpid, msg, xid);
-  if (!options_.batch_southbound) request_chasing_barrier(dpid);
+  // earlier still-pending sends the agent actually processed. The barrier
+  // is arranged first so its zero-delay event precedes the flush event
+  // and the barrier rides the same batch as the mod.
+  request_chasing_barrier(dpid);
+  send(dpid, pending.msg, xid);
   arm_completion_timeout(dpid, xid, session.epoch);
   return xid;
 }
@@ -391,9 +388,8 @@ void Controller::arm_completion_timeout(Dpid dpid, openflow::Xid xid,
                 ack);
           }
         }
-        if (options_.batch_southbound) request_chasing_barrier(dpid);
+        request_chasing_barrier(dpid);
         send(dpid, pc.msg, new_xid);
-        if (!options_.batch_southbound) request_chasing_barrier(dpid);
         session.pending_completions.emplace(new_xid, std::move(pc));
         arm_completion_timeout(dpid, new_xid, epoch);
       });
@@ -450,68 +446,47 @@ void Controller::resolve_completions_acked_by(
     resolve_completion(dpid, xid, std::nullopt);
 }
 
-openflow::Xid Controller::flow_mod(Dpid dpid, const openflow::FlowMod& mod,
-                                   CompletionFn done) {
-  ++stats_.flow_mods_sent;
-  CtrlMetrics::get().flow_mods.inc();
-  if (southbound_tap_) southbound_tap_(dpid, openflow::Message{mod});
-  const obs::SpanContext span = begin_southbound_span("flow_mod");
-  if (done)
-    return send_tracked(dpid, openflow::Message{mod}, std::move(done), span);
+openflow::Xid Controller::send_mod(Dpid dpid, openflow::Message msg,
+                                   const char* span_name, CompletionFn done) {
+  const obs::SpanContext span = begin_southbound_span(span_name);
+  if (done) return send_tracked(dpid, std::move(msg), std::move(done), span);
   const openflow::Xid xid = next_xid(dpid);
   if (span.valid())
     obs::SpanTracer::global().bind(
         obs::SpanTracer::key(SpanKey::kModUntracked, conn_id_, dpid, xid),
         span);
-  send(dpid, openflow::Message{mod}, xid);
+  send(dpid, msg, xid);
   return xid;
+}
+
+openflow::Xid Controller::flow_mod(Dpid dpid, const openflow::FlowMod& mod,
+                                   CompletionFn done) {
+  ++stats_.flow_mods_sent;
+  CtrlMetrics::get().flow_mods.inc();
+  openflow::Message msg{mod};
+  if (southbound_tap_) southbound_tap_(dpid, msg);
+  return send_mod(dpid, std::move(msg), "flow_mod", std::move(done));
 }
 
 openflow::Xid Controller::group_mod(Dpid dpid, const openflow::GroupMod& mod,
                                     CompletionFn done) {
   ++stats_.group_mods_sent;
-  if (southbound_tap_) southbound_tap_(dpid, openflow::Message{mod});
-  const obs::SpanContext span = begin_southbound_span("group_mod");
-  if (done)
-    return send_tracked(dpid, openflow::Message{mod}, std::move(done), span);
-  const openflow::Xid xid = next_xid(dpid);
-  if (span.valid())
-    obs::SpanTracer::global().bind(
-        obs::SpanTracer::key(SpanKey::kModUntracked, conn_id_, dpid, xid),
-        span);
-  send(dpid, openflow::Message{mod}, xid);
-  return xid;
+  openflow::Message msg{mod};
+  if (southbound_tap_) southbound_tap_(dpid, msg);
+  return send_mod(dpid, std::move(msg), "group_mod", std::move(done));
 }
 
 openflow::Xid Controller::meter_mod(Dpid dpid, const openflow::MeterMod& mod,
                                     CompletionFn done) {
   ++stats_.meter_mods_sent;
-  const obs::SpanContext span = begin_southbound_span("meter_mod");
-  if (done)
-    return send_tracked(dpid, openflow::Message{mod}, std::move(done), span);
-  const openflow::Xid xid = next_xid(dpid);
-  if (span.valid())
-    obs::SpanTracer::global().bind(
-        obs::SpanTracer::key(SpanKey::kModUntracked, conn_id_, dpid, xid),
-        span);
-  send(dpid, openflow::Message{mod}, xid);
-  return xid;
+  return send_mod(dpid, openflow::Message{mod}, "meter_mod", std::move(done));
 }
 
 openflow::Xid Controller::packet_out(Dpid dpid, const openflow::PacketOut& msg,
                                      CompletionFn done) {
   ++stats_.packet_outs_sent;
   CtrlMetrics::get().packet_outs.inc();
-  const obs::SpanContext span = begin_southbound_span("packet_out");
-  if (done)
-    return send_tracked(dpid, openflow::Message{msg}, std::move(done), span);
-  const openflow::Xid xid = next_xid(dpid);
-  if (span.valid())
-    obs::SpanTracer::global().bind(
-        obs::SpanTracer::key(SpanKey::kModUntracked, conn_id_, dpid, xid),
-        span);
-  send(dpid, openflow::Message{msg}, xid);
-  return xid;
+  return send_mod(dpid, openflow::Message{msg}, "packet_out", std::move(done));
 }
 
 openflow::Xid Controller::commit_bundle(Dpid dpid,

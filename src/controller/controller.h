@@ -23,7 +23,7 @@
 #include "controller/southbound.h"
 #include "controller/switch_agent.h"
 #include "net/packet.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 #include "sim/network.h"
 
 namespace zen::obs {
@@ -113,13 +113,6 @@ class Controller {
     // Controller-side processing delay applied before dispatching an
     // incoming message to apps (models scheduling + deserialization).
     double processing_delay_s = 10e-6;
-
-    // Batched southbound flushes: sends issued at the same simulation
-    // instant coalesce into one wire delivery, and one chasing barrier
-    // covers every tracked send of the instant. false reproduces v1
-    // one-frame-per-delivery framing byte for byte (golden determinism
-    // mode).
-    bool batch_southbound = true;
 
     // ---- transactional southbound ----
     // A tracked send (one with a completion callback) is followed by a
@@ -327,8 +320,8 @@ class Controller {
     std::unique_ptr<SwitchAgent> agent;
     openflow::Xid next_xid = 1;
     // True while a coalesced chasing barrier is scheduled for the current
-    // simulation instant (batched mode: one barrier acks every tracked
-    // send of the instant).
+    // simulation instant (one barrier acks every tracked send of the
+    // instant).
     bool barrier_scheduled = false;
     bool features_known = false;
     // Liveness: alive flips true on FeaturesReply, false when heartbeats
@@ -357,9 +350,8 @@ class Controller {
   void register_app_metrics(const App& app);
   void on_batch(Dpid dpid, std::vector<openflow::OwnedMessage> batch);
   void dispatch(Dpid dpid, openflow::OwnedMessage owned);
-  // Arranges the barrier that chases tracked sends. Batched mode schedules
-  // it once per instant (zero-delay event, staged into the same flush);
-  // unbatched mode sends it immediately.
+  // Arranges the barrier that chases tracked sends: scheduled once per
+  // instant (zero-delay event, staged into the same flush).
   void request_chasing_barrier(Dpid dpid);
   openflow::Xid send_bundle_attempt(
       Dpid dpid, std::shared_ptr<const std::vector<openflow::Message>> members,
@@ -369,6 +361,10 @@ class Controller {
                        const net::ParsedPacket& parsed);
   void handle_features_reply(Dpid dpid, Session& session,
                              const openflow::FeaturesReply& msg);
+  // The body the public mod/packet-out senders share: opens the send's
+  // causal span, then sends tracked (with `done`) or fire-and-forget.
+  openflow::Xid send_mod(Dpid dpid, openflow::Message msg,
+                         const char* span_name, CompletionFn done);
   // Transactional sends.
   openflow::Xid send_tracked(Dpid dpid, openflow::Message msg,
                              CompletionFn done,

@@ -68,16 +68,22 @@ FlowRuleStore::IntendedRule* FlowRuleStore::find_rule(
   return nullptr;
 }
 
-bool FlowRuleStore::evict_lowest_importance(Dpid dpid,
-                                            const openflow::FlowMod& incoming) {
+bool FlowRuleStore::evict_lowest_importance(
+    Dpid dpid, const openflow::FlowMod& incoming,
+    const std::vector<openflow::FlowMod>& installing) {
   auto& rules = switches_[dpid].rules;
   IntendedRule* victim = nullptr;
   for (auto& r : rules) {
     if (r.degraded) continue;
     if (r.mod.table_id != incoming.table_id) continue;
     if (r.mod.importance >= incoming.importance) continue;
-    if (r.mod.priority == incoming.priority && r.mod.match == incoming.match)
-      continue;  // never sacrifice the rule being installed
+    if (std::any_of(installing.begin(), installing.end(),
+                    [&](const openflow::FlowMod& m) {
+                      return m.table_id == r.mod.table_id &&
+                             m.priority == r.mod.priority &&
+                             m.match == r.mod.match;
+                    }))
+      continue;  // never sacrifice a rule being installed
     if (!victim || r.mod.importance < victim->mod.importance) victim = &r;
   }
   if (!victim) return false;
@@ -96,26 +102,41 @@ bool FlowRuleStore::evict_lowest_importance(Dpid dpid,
   return true;
 }
 
-void FlowRuleStore::handle_table_full(Dpid dpid, const openflow::FlowMod& mod,
+void FlowRuleStore::handle_table_full(Dpid dpid, Members mods,
                                       CompletionFn done,
                                       const openflow::Error& err) {
   ++stats_.table_full_rejections;
   StoreMetrics::get().table_full.inc();
   obs::FlightRecorder::global().record(obs::FlightEventKind::kTableFull, dpid,
-                                       mod.table_id, "rulestore");
-  IntendedRule* rule = find_rule(dpid, mod);
-  if (rule && rule->table_full_retries < kMaxTableFullRetries &&
-      evict_lowest_importance(dpid, mod)) {
-    ++rule->table_full_retries;
-    auto& tracer = obs::SpanTracer::global();
-    tracer.annotate(tracer.current(), "table_full_retry");
-    send_install(dpid, mod, std::move(done));
-    return;
+                                       mods->front().table_id, "rulestore");
+  // The retry budget is tracked on the first member: the list retries and
+  // degrades as a unit, so one representative counter is enough.
+  IntendedRule* rep = find_rule(dpid, mods->front());
+  if (rep && rep->table_full_retries < kMaxTableFullRetries) {
+    // The switch rejected the list for want of (at worst) one slot per
+    // member: sacrifice up to that many lower-importance rules, then
+    // re-send the whole list.
+    std::size_t freed = 0;
+    for (const auto& mod : *mods)
+      if (evict_lowest_importance(dpid, mod, *mods)) ++freed;
+    if (freed > 0) {
+      for (const auto& mod : *mods) {
+        if (IntendedRule* rule = find_rule(dpid, mod))
+          ++rule->table_full_retries;
+      }
+      auto& tracer = obs::SpanTracer::global();
+      tracer.annotate(tracer.current(), "table_full_retry");
+      send_install(dpid, std::move(mods), std::move(done));
+      return;
+    }
   }
   // No room and nothing expendable: park the intent as degraded so repeated
   // audits/recompiles don't hammer a full table, and surface the typed
-  // failure to the caller.
-  if (rule && !rule->degraded) {
+  // failure to the caller. A path is only useful whole, so every member
+  // parks together.
+  for (const auto& mod : *mods) {
+    IntendedRule* rule = find_rule(dpid, mod);
+    if (!rule || rule->degraded) continue;
     rule->degraded = true;
     ++stats_.rules_degraded;
     StoreMetrics::get().degraded.inc();
@@ -126,88 +147,28 @@ void FlowRuleStore::handle_table_full(Dpid dpid, const openflow::FlowMod& mod,
   if (done) done(err);
 }
 
-openflow::Xid FlowRuleStore::send_install(Dpid dpid,
-                                          const openflow::FlowMod& mod,
-                                          CompletionFn done) {
+void FlowRuleStore::send_install(Dpid dpid, Members mods, CompletionFn done) {
   // Capture the causal span so a TableFull repair ladder re-enters the
   // original trace: the eviction and the retried install show up as
   // sibling spans of the rejected attempt.
   const obs::SpanContext span = obs::SpanTracer::global().current();
-  return controller_.flow_mod(
-      dpid, mod,
-      [this, dpid, mod, span, done = std::move(done)](
-          const std::optional<openflow::Error>& err) {
-        if (err && openflow::is_table_full(*err)) {
-          obs::SpanTracer::Scope scope(span);
-          handle_table_full(dpid, mod, done, *err);
-          return;
-        }
-        if (done) done(err);
-      });
-}
-
-void FlowRuleStore::handle_bundle_table_full(
-    Dpid dpid, std::shared_ptr<const std::vector<openflow::FlowMod>> mods,
-    CompletionFn done, const openflow::Error& err) {
-  ++stats_.table_full_rejections;
-  StoreMetrics::get().table_full.inc();
-  obs::FlightRecorder::global().record(obs::FlightEventKind::kTableFull, dpid,
-                                       mods->front().table_id, "rulestore");
-  // The retry budget is tracked on the first member: the bundle retries and
-  // degrades as a unit, so one representative counter is enough.
-  IntendedRule* rep = find_rule(dpid, mods->front());
-  if (rep && rep->table_full_retries < kMaxTableFullRetries) {
-    // The switch rejected the whole bundle for want of (at worst) one slot
-    // per member: sacrifice up to that many lower-importance rules, then
-    // re-commit the whole bundle.
-    std::size_t freed = 0;
-    for (std::size_t i = 0; i < mods->size(); ++i) {
-      if (!evict_lowest_importance(dpid, mods->front())) break;
-      ++freed;
-    }
-    if (freed > 0) {
-      for (const auto& mod : *mods) {
-        if (IntendedRule* rule = find_rule(dpid, mod))
-          ++rule->table_full_retries;
-      }
-      auto& tracer = obs::SpanTracer::global();
-      tracer.annotate(tracer.current(), "table_full_retry");
-      send_install_bundle(dpid, std::move(mods), std::move(done));
+  CompletionFn on_done = [this, dpid, mods, span, done = std::move(done)](
+                             const std::optional<openflow::Error>& err) {
+    if (err && openflow::is_table_full(*err)) {
+      obs::SpanTracer::Scope scope(span);
+      handle_table_full(dpid, mods, done, *err);
       return;
     }
+    if (done) done(err);
+  };
+  // A lone rule needs no bundle: one FlowMod is already all-or-nothing.
+  if (mods->size() == 1) {
+    controller_.flow_mod(dpid, mods->front(), std::move(on_done));
+    return;
   }
-  // No room and nothing expendable: the path is only useful whole, so park
-  // every member as degraded together.
-  for (const auto& mod : *mods) {
-    IntendedRule* rule = find_rule(dpid, mod);
-    if (rule && !rule->degraded) {
-      rule->degraded = true;
-      ++stats_.rules_degraded;
-      StoreMetrics::get().degraded.inc();
-    }
-  }
-  ZEN_LOG(Warn) << "rule store: dpid " << dpid << " table "
-                << int(mods->front().table_id) << " full; bundle of "
-                << mods->size() << " rules degraded";
-  if (done) done(err);
-}
-
-void FlowRuleStore::send_install_bundle(
-    Dpid dpid, std::shared_ptr<const std::vector<openflow::FlowMod>> mods,
-    CompletionFn done) {
-  const obs::SpanContext span = obs::SpanTracer::global().current();
-  std::vector<openflow::Message> members(mods->begin(), mods->end());
   controller_.commit_bundle(
-      dpid, std::move(members),
-      [this, dpid, mods = std::move(mods), span, done = std::move(done)](
-          const std::optional<openflow::Error>& err) {
-        if (err && openflow::is_table_full(*err)) {
-          obs::SpanTracer::Scope scope(span);
-          handle_bundle_table_full(dpid, mods, done, *err);
-          return;
-        }
-        if (done) done(err);
-      });
+      dpid, std::vector<openflow::Message>(mods->begin(), mods->end()),
+      std::move(on_done));
 }
 
 void FlowRuleStore::install_bundle(Dpid dpid,
@@ -219,16 +180,14 @@ void FlowRuleStore::install_bundle(Dpid dpid,
           0, [done = std::move(done)] { done(std::nullopt); });
     return;
   }
-  if (mods.size() == 1) {
-    install(dpid, mods.front(), std::move(done));
-    return;
-  }
   stats_.installs += mods.size();
   for (auto& mod : mods) {
     if (mod.cookie != 0) managed_cookies_.insert(mod.cookie);
     mod.command = openflow::FlowModCommand::Add;
     mod.buffer_id = openflow::kNoBuffer;  // reinstalls can't cite buffers
     if (IntendedRule* existing = find_rule(dpid, mod)) {
+      // A fresh install statement resets any degraded parking: the caller
+      // explicitly wants this rule again.
       existing->mod = mod;
       existing->degraded = false;
       existing->table_full_retries = 0;
@@ -236,31 +195,10 @@ void FlowRuleStore::install_bundle(Dpid dpid,
       switches_[dpid].rules.push_back(IntendedRule{mod});
     }
   }
-  send_install_bundle(
-      dpid,
-      std::make_shared<const std::vector<openflow::FlowMod>>(std::move(mods)),
-      std::move(done));
-}
-
-openflow::Xid FlowRuleStore::install(Dpid dpid, const openflow::FlowMod& mod,
-                                     CompletionFn done) {
-  ++stats_.installs;
-  if (mod.cookie != 0) managed_cookies_.insert(mod.cookie);
-
-  openflow::FlowMod intended = mod;
-  intended.command = openflow::FlowModCommand::Add;
-  intended.buffer_id = openflow::kNoBuffer;  // reinstalls can't cite buffers
-  if (IntendedRule* existing = find_rule(dpid, intended)) {
-    // A fresh install statement resets any degraded parking: the caller
-    // explicitly wants this rule again.
-    existing->mod = std::move(intended);
-    existing->degraded = false;
-    existing->table_full_retries = 0;
-  } else {
-    switches_[dpid].rules.push_back(IntendedRule{std::move(intended)});
-  }
-
-  return send_install(dpid, mod, std::move(done));
+  send_install(dpid,
+               std::make_shared<const std::vector<openflow::FlowMod>>(
+                   std::move(mods)),
+               std::move(done));
 }
 
 openflow::Xid FlowRuleStore::remove(Dpid dpid, const openflow::FlowMod& del,
@@ -452,7 +390,9 @@ void FlowRuleStore::reconcile(Dpid dpid,
     ++missing;
     ++stats_.repairs_installed;
     StoreMetrics::get().repairs.inc();
-    send_install(dpid, mod, [](const std::optional<openflow::Error>&) {});
+    send_install(dpid,
+                 std::make_shared<const std::vector<openflow::FlowMod>>(1, mod),
+                 [](const std::optional<openflow::Error>&) {});
   }
 
   // Orphans: actual rules carrying a cookie this store manages but whose

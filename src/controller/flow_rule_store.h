@@ -67,20 +67,25 @@ class FlowRuleStore {
       : FlowRuleStore(controller, Options()) {}
   FlowRuleStore(Controller& controller, Options options);
 
-  // Records the rule as intended on `dpid` and sends it transactionally.
-  // Add and Modify upsert the intended entry keyed by (table, priority,
-  // match); the mod's cookie becomes a managed cookie.
-  openflow::Xid install(Dpid dpid, const openflow::FlowMod& mod,
-                        CompletionFn done = nullptr);
-  // Records every mod as intended and commits them through a southbound
-  // bundle: the switch applies all of them or none. `done` fires once with
-  // the bundle verdict. A TableFull rejection of any member runs the same
-  // evict-retry-then-degrade ladder as install(), but the retry re-commits
-  // the whole bundle and a final failure parks every member as degraded —
-  // a multi-rule path is only intent-complete as a unit. A single-element
-  // bundle degenerates to install().
+  // Records every mod as intended on `dpid` and sends them as one unit,
+  // transactionally: a single mod goes out as a plain FlowMod, several as a
+  // southbound bundle the switch applies all-or-nothing. Each mod upserts
+  // the intended entry keyed by (table, priority, match), normalized to an
+  // Add without a buffer id (which is also what is sent); its cookie
+  // becomes a managed cookie. `done` fires once with the verdict.
+  //
+  // TableFull ladder: the store sacrifices up to one of its own
+  // lower-importance rules per member, re-sends the whole list, and once
+  // that runs out (kMaxTableFullRetries, or nothing expendable) parks every
+  // member as degraded — a multi-rule path is only intent-complete as a
+  // unit. Audit repairs run through the same ladder.
   void install_bundle(Dpid dpid, std::vector<openflow::FlowMod> mods,
                       CompletionFn done = nullptr);
+  // One-rule install_bundle.
+  void install(Dpid dpid, const openflow::FlowMod& mod,
+               CompletionFn done = nullptr) {
+    install_bundle(dpid, {mod}, std::move(done));
+  }
   // Drops matching intended entries and sends the delete. Strict deletes
   // drop the exact (table, priority, match) entry; plain Delete drops
   // every intended entry in the table subsumed by the mod's match.
@@ -145,24 +150,19 @@ class FlowRuleStore {
   void reconcile(Dpid dpid, const openflow::FlowStatsReply& reply);
   void finish(Dpid dpid, bool converged);
 
-  // Sends `mod` with a completion wrapper that turns TableFull errors into
-  // the evict-retry-then-degrade sequence.
-  openflow::Xid send_install(Dpid dpid, const openflow::FlowMod& mod,
-                             CompletionFn done);
-  void handle_table_full(Dpid dpid, const openflow::FlowMod& mod,
-                         CompletionFn done, const openflow::Error& err);
-  // Bundle flavors of the two above: the retry ladder re-commits the whole
-  // member list, and degradation applies to every member at once.
-  void send_install_bundle(
-      Dpid dpid, std::shared_ptr<const std::vector<openflow::FlowMod>> mods,
-      CompletionFn done);
-  void handle_bundle_table_full(
-      Dpid dpid, std::shared_ptr<const std::vector<openflow::FlowMod>> mods,
-      CompletionFn done, const openflow::Error& err);
+  using Members = std::shared_ptr<const std::vector<openflow::FlowMod>>;
+
+  // Sends the (non-empty) member list with a completion wrapper that turns
+  // TableFull errors into the evict-retry-then-degrade ladder.
+  void send_install(Dpid dpid, Members mods, CompletionFn done);
+  void handle_table_full(Dpid dpid, Members mods, CompletionFn done,
+                         const openflow::Error& err);
   // Sacrifices the lowest-importance non-degraded intended rule in the
-  // incoming mod's table (importance strictly below the incoming one):
-  // marks it degraded and deletes it from the switch. False if none.
-  bool evict_lowest_importance(Dpid dpid, const openflow::FlowMod& incoming);
+  // incoming mod's table (importance strictly below the incoming one, and
+  // never one of the `installing` rules): marks it degraded and deletes it
+  // from the switch. False if none.
+  bool evict_lowest_importance(Dpid dpid, const openflow::FlowMod& incoming,
+                               const std::vector<openflow::FlowMod>& installing);
   IntendedRule* find_rule(Dpid dpid, const openflow::FlowMod& mod);
 
   Controller& controller_;

@@ -37,7 +37,7 @@
 #include "intent/intent_manager.h"
 #include "net/packet.h"
 #include "obs/obs.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 #include "sim/fault_injector.h"
 #include "sim/network.h"
 #include "te/allocation.h"

@@ -1,29 +1,6 @@
 #include "dataplane/megaflow_cache.h"
 
-#include "obs/metrics.h"
-
 namespace zen::dataplane {
-
-namespace {
-
-struct CacheMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& evictions;
-  static CacheMetrics& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static CacheMetrics m{
-        reg.counter("zen_dataplane_megaflow_hits_total", "",
-                    "Megaflow cache hits (fast-path forwards)"),
-        reg.counter("zen_dataplane_megaflow_misses_total", "",
-                    "Megaflow cache misses (full pipeline traversals)"),
-        reg.counter("zen_dataplane_megaflow_evictions_total", "",
-                    "Megaflow entries evicted at capacity")};
-    return m;
-  }
-};
-
-}  // namespace
 
 void MegaflowCache::sync_version(std::uint64_t version) {
   // Coarse invalidation: any rule-affecting change bumps the version and
@@ -45,13 +22,11 @@ const CachedVerdict* MegaflowCache::find(const net::FlowKey& key,
   const auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
-    if (shard_) shard_->bump(miss_slot_);
-    else CacheMetrics::get().misses.inc();
+    shard_->bump(miss_slot_);
     return nullptr;
   }
   ++hits_;
-  if (shard_) shard_->bump(hit_slot_);
-  else CacheMetrics::get().hits.inc();
+  shard_->bump(hit_slot_);
   return &it->second.verdict;
 }
 
@@ -87,8 +62,7 @@ void MegaflowCache::insert(const net::FlowKey& key, CachedVerdict verdict,
       if (vit->first == key) continue;
       map_.erase(vit->first);
       ++evictions_;
-      if (shard_) shard_->bump(evict_slot_);
-      else CacheMetrics::get().evictions.inc();
+      shard_->bump(evict_slot_);
       return;
     }
   }

@@ -59,8 +59,18 @@ struct CachedVerdict {
 
 class MegaflowCache {
  public:
-  explicit MegaflowCache(std::size_t capacity = 65536, bool enabled = true)
-      : capacity_(capacity), enabled_(enabled) {}
+  // Per-packet hit/miss/eviction counts go to the owner's ShardStats
+  // slots (plain stores on a private cacheline); the owner binds those
+  // slots to the registry counters. `shard` must outlive the cache.
+  MegaflowCache(std::size_t capacity, bool enabled, obs::ShardStats& shard,
+                std::size_t hit_slot, std::size_t miss_slot,
+                std::size_t evict_slot)
+      : capacity_(capacity),
+        enabled_(enabled),
+        shard_(&shard),
+        hit_slot_(hit_slot),
+        miss_slot_(miss_slot),
+        evict_slot_(evict_slot) {}
 
   // Returns the verdict if present and current. The first call under a new
   // version drops all (stale) entries.
@@ -88,18 +98,6 @@ class MegaflowCache {
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t evictions() const noexcept { return evictions_; }
 
-  // Routes the per-packet hit/miss/eviction counts through the owner's
-  // ShardStats slots (plain stores on a private cacheline) instead of the
-  // shared global counters. Standalone caches (no shard bound) keep the
-  // direct global-counter path.
-  void bind_shard(obs::ShardStats* shard, std::size_t hit_slot,
-                  std::size_t miss_slot, std::size_t evict_slot) noexcept {
-    shard_ = shard;
-    hit_slot_ = hit_slot;
-    miss_slot_ = miss_slot;
-    evict_slot_ = evict_slot;
-  }
-
  private:
   struct Slot {
     CachedVerdict verdict;
@@ -112,10 +110,10 @@ class MegaflowCache {
 
   std::size_t capacity_;
   bool enabled_;
-  obs::ShardStats* shard_ = nullptr;
-  std::size_t hit_slot_ = 0;
-  std::size_t miss_slot_ = 0;
-  std::size_t evict_slot_ = 0;
+  obs::ShardStats* shard_;  // never null
+  std::size_t hit_slot_;
+  std::size_t miss_slot_;
+  std::size_t evict_slot_;
   std::unordered_map<net::FlowKey, Slot> map_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -98,7 +98,9 @@ constexpr std::size_t kSlotCacheEvictions = 3;
 Switch::Switch(std::uint64_t datapath_id, SwitchConfig config)
     : dpid_(datapath_id),
       config_(config),
-      cache_(config.cache_capacity, config.cache_enabled),
+      shard_(std::make_unique<obs::ShardStats>()),
+      cache_(config.cache_capacity, config.cache_enabled, *shard_,
+             kSlotCacheHits, kSlotCacheMisses, kSlotCacheEvictions),
       buffered_(config.packet_buffer_slots) {
   if (config_.n_tables == 0) config_.n_tables = 1;
   if (config_.packet_in_rate_pps > 0) {
@@ -112,7 +114,6 @@ Switch::Switch(std::uint64_t datapath_id, SwitchConfig config)
     tables_.back().set_capacity(config_.table_capacity, config_.eviction);
   }
   vacancy_down_.assign(config_.n_tables, false);
-  shard_ = std::make_unique<obs::ShardStats>();
   shard_->bind(kSlotPackets, SwitchMetrics::get().packets);
   {
     auto& reg = obs::MetricsRegistry::global();
@@ -126,8 +127,6 @@ Switch::Switch(std::uint64_t datapath_id, SwitchConfig config)
                  reg.counter("zen_dataplane_megaflow_evictions_total", "",
                              "Megaflow entries evicted at capacity"));
   }
-  cache_.bind_shard(shard_.get(), kSlotCacheHits, kSlotCacheMisses,
-                    kSlotCacheEvictions);
   occupancy_gauge_ = &obs::MetricsRegistry::global().gauge(
       "zen_dataplane_table_occupancy",
       "dpid=\"" + std::to_string(dpid_) + "\"",

@@ -28,7 +28,7 @@
 #include "dataplane/meter_table.h"
 #include "dataplane/packet_rewrite.h"
 #include "obs/shard_stats.h"
-#include "openflow/codec.h"
+#include "openflow/messages.h"
 #include "openflow/table_status.h"
 #include "util/token_bucket.h"
 

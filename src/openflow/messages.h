@@ -1,8 +1,8 @@
 // Southbound protocol messages.
 //
-// Each message is a value struct with encode_body/decode_body; the codec
-// (codec.h) adds the common header and stream framing. Message is
-// the closed variant the control plane and switch agent dispatch on.
+// Each message is a value struct with encode_body/decode_body; wire.h
+// adds the common header and batch framing. Message is the closed variant
+// the control plane and switch agent dispatch on.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,12 @@
-// Southbound wire API v2: zero-copy arena framing.
+// Southbound wire format: zero-copy arena framing.
 //
-// v1 (codec.h) produced one heap-allocated Bytes per encoded message and
-// one owned byte vector per decoded one. v2 replaces both directions:
+// Wire layout of one frame (all big-endian):
+//   u8  version   (kProtocolVersion)
+//   u8  type      (MsgType)
+//   u32 length    (header + body, bytes)
+//   u32 xid       (transaction id, echoed in replies)
+//   ... body
+// A flushed batch is frames laid end to end.
 //
 //  * Encode: a WireArena owns one contiguous buffer of length-prefixed
 //    frames. FrameWriter appends a frame's header, exposes a ByteWriter

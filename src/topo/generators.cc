@@ -8,6 +8,12 @@ namespace zen::topo {
 
 namespace {
 
+// Node name "<prefix><n>", e.g. "s3". Built with append rather than
+// operator+ on a literal, which GCC 12 -O3 flags with a false -Wrestrict.
+std::string label(const char* prefix, std::uint64_t n) {
+  return std::string(prefix).append(std::to_string(n));
+}
+
 // Tracks the next free port number on each node.
 class PortAllocator {
  public:
@@ -19,7 +25,7 @@ class PortAllocator {
 
 void attach_host(GeneratedTopo& g, PortAllocator& ports, NodeId host_id,
                  NodeId sw, double link_bps, double latency_s) {
-  g.topo.add_node(host_id, NodeKind::Host, "h" + std::to_string(host_id - kHostIdBase));
+  g.topo.add_node(host_id, NodeKind::Host, label("h", host_id - kHostIdBase));
   const std::uint32_t sw_port = ports.next(sw);
   const std::uint32_t host_port = 1;
   g.topo.add_link(host_id, host_port, sw, sw_port, link_bps, latency_s);
@@ -33,7 +39,7 @@ GeneratedTopo make_chain(std::size_t n_switches, std::size_t hosts_per_switch,
   PortAllocator ports;
   for (std::size_t i = 0; i < n_switches; ++i) {
     const NodeId id = i + 1;
-    g.topo.add_node(id, NodeKind::Switch, "s" + std::to_string(id));
+    g.topo.add_node(id, NodeKind::Switch, label("s", id));
     g.switches.push_back(id);
   }
   for (std::size_t i = 0; i + 1 < n_switches; ++i) {
@@ -75,7 +81,7 @@ GeneratedTopo make_fat_tree(std::size_t k, double link_bps, double latency_s) {
   std::vector<NodeId> cores;
   NodeId next_id = 1;
   for (std::size_t c = 0; c < n_core; ++c) {
-    g.topo.add_node(next_id, NodeKind::Switch, "core" + std::to_string(c));
+    g.topo.add_node(next_id, NodeKind::Switch, label("core", c));
     cores.push_back(next_id);
     g.switches.push_back(next_id++);
   }
@@ -127,12 +133,12 @@ GeneratedTopo make_leaf_spine(std::size_t n_spine, std::size_t n_leaf,
   std::vector<NodeId> spines, leaves;
   NodeId next_id = 1;
   for (std::size_t s = 0; s < n_spine; ++s) {
-    g.topo.add_node(next_id, NodeKind::Switch, "spine" + std::to_string(s));
+    g.topo.add_node(next_id, NodeKind::Switch, label("spine", s));
     spines.push_back(next_id);
     g.switches.push_back(next_id++);
   }
   for (std::size_t l = 0; l < n_leaf; ++l) {
-    g.topo.add_node(next_id, NodeKind::Switch, "leaf" + std::to_string(l));
+    g.topo.add_node(next_id, NodeKind::Switch, label("leaf", l));
     leaves.push_back(next_id);
     g.switches.push_back(next_id++);
   }
@@ -155,7 +161,7 @@ GeneratedTopo make_jellyfish(std::size_t n_switches, std::size_t degree,
   PortAllocator ports;
   for (std::size_t i = 0; i < n_switches; ++i) {
     const NodeId id = i + 1;
-    g.topo.add_node(id, NodeKind::Switch, "j" + std::to_string(id));
+    g.topo.add_node(id, NodeKind::Switch, label("j", id));
     g.switches.push_back(id);
   }
 
@@ -243,7 +249,7 @@ GeneratedTopo make_random_connected(std::size_t n_switches, double avg_degree,
   PortAllocator ports;
   for (std::size_t i = 0; i < n_switches; ++i) {
     const NodeId id = i + 1;
-    g.topo.add_node(id, NodeKind::Switch, "s" + std::to_string(id));
+    g.topo.add_node(id, NodeKind::Switch, label("s", id));
     g.switches.push_back(id);
   }
   // Random spanning tree: attach node i to a random earlier node.

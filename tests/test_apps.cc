@@ -10,7 +10,7 @@
 #include "controller/apps/te_installer.h"
 #include "controller/controller.h"
 #include "obs/metrics.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 #include "te/allocation.h"
 #include "te/demand.h"
 #include "topo/generators.h"
@@ -451,12 +451,10 @@ TEST_F(EcmpGroupFixture, RoutesWithdrawnWhenDestinationUnreachable) {
 // all deterministic functions of the topology, never of hash-map iteration
 // order or allocation history.
 TEST(L3RoutingDeterminism, GoldenSouthboundStream) {
-  auto run_once = [](bool batch_southbound) {
+  auto run_once = [] {
     std::vector<std::uint8_t> stream;
     sim::SimNetwork net(topo::make_fat_tree(4), drop_miss_options());
-    Controller::Options copts;
-    copts.batch_southbound = batch_southbound;
-    Controller ctrl(net, copts);
+    Controller ctrl(net);
     ctrl.set_southbound_tap([&](Dpid dpid, const openflow::Message& msg) {
       const auto type = openflow::type_of(msg);
       if (type != openflow::MsgType::FlowMod &&
@@ -487,16 +485,10 @@ TEST(L3RoutingDeterminism, GoldenSouthboundStream) {
     return stream;
   };
 
-  const std::vector<std::uint8_t> first = run_once(true);
-  const std::vector<std::uint8_t> second = run_once(true);
+  const std::vector<std::uint8_t> first = run_once();
+  const std::vector<std::uint8_t> second = run_once();
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
-
-  // Batched flushes change only the framing on the wire, never what the
-  // controller decides to send: turning batching off must reproduce the
-  // exact same southbound stream.
-  const std::vector<std::uint8_t> unbatched = run_once(false);
-  EXPECT_EQ(first, unbatched);
 }
 
 // Full end state of a seeded random-traffic run: per-switch rule tables

@@ -12,7 +12,7 @@
 #include "controller/switch_agent.h"
 #include "core/network.h"
 #include "intent/intent_manager.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 #include "sim/fault_injector.h"
 #include "sim/network.h"
 #include "topo/generators.h"
@@ -46,6 +46,13 @@ openflow::FlowMod simple_mod(std::uint16_t priority, std::uint64_t cookie = 0) {
   mod.instructions = openflow::output_to(1);
   mod.cookie = cookie;
   return mod;
+}
+
+// Stages one frame toward the switch side and flushes it as its own batch.
+void send_to_switch(Channel& channel, const openflow::Message& msg,
+                    openflow::Xid xid) {
+  channel.stage(Channel::Side::B).append(msg, xid);
+  channel.flush(Channel::Side::B);
 }
 
 // App probe: records lifecycle callbacks.
@@ -143,8 +150,7 @@ TEST(ChannelFaults, DeterministicPerSeed) {
     faults.seed = seed;
     channel.set_faults(faults);
     for (int i = 0; i < 200; ++i)
-      channel.send(Channel::Side::B, openflow::encode_frame(
-          openflow::Message{openflow::EchoRequest{}}, 1));
+      send_to_switch(channel, openflow::Message{openflow::EchoRequest{}}, 1);
     net.run_until(1.0);
     return std::tuple{delivered, channel.messages_lost(),
                       channel.messages_duplicated()};
@@ -183,9 +189,7 @@ TEST(BarrierAck, OvertakingBarrierDoesNotFalseAck) {
 
   // The mod (xid 10) is lost or delayed; its chasing barrier (xid 11)
   // reaches the agent first. The reply's ack set must not cover 10.
-  channel.send(
-      Channel::Side::B,
-      openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 11));
+  send_to_switch(channel, openflow::Message{openflow::BarrierRequest{}}, 11);
   net.run_until(0.01);
   ASSERT_EQ(replies.size(), 1u);
   const auto* first = std::get_if<openflow::BarrierReply>(&replies[0].msg);
@@ -194,10 +198,8 @@ TEST(BarrierAck, OvertakingBarrierDoesNotFalseAck) {
   EXPECT_EQ(net.switch_at(1).table(0).size(), 0u);
 
   // The mod lands late; the next barrier's ack covers it.
-  channel.send(Channel::Side::B, openflow::encode_frame(openflow::Message{simple_mod(5)}, 10));
-  channel.send(
-      Channel::Side::B,
-      openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 12));
+  send_to_switch(channel, openflow::Message{simple_mod(5)}, 10);
+  send_to_switch(channel, openflow::Message{openflow::BarrierRequest{}}, 12);
   net.run_until(0.02);
   ASSERT_EQ(replies.size(), 2u);
   const auto* second = std::get_if<openflow::BarrierReply>(&replies[1].msg);
@@ -219,10 +221,8 @@ TEST(BarrierAck, DeliveredLaterModDoesNotVouchForEarlierLostMod) {
   collect_replies(channel, replies);
 
   // Mod A (xid 10) never sent — the channel ate it. Mod B + barrier land.
-  channel.send(Channel::Side::B, openflow::encode_frame(openflow::Message{simple_mod(7)}, 12));
-  channel.send(
-      Channel::Side::B,
-      openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 13));
+  send_to_switch(channel, openflow::Message{simple_mod(7)}, 12);
+  send_to_switch(channel, openflow::Message{openflow::BarrierRequest{}}, 13);
   net.run_until(0.01);
   ASSERT_EQ(replies.size(), 1u);
   const auto* reply = std::get_if<openflow::BarrierReply>(&replies[0].msg);
@@ -244,10 +244,8 @@ TEST(BarrierAck, RejectedModIsNotAcked) {
 
   openflow::FlowMod bad = simple_mod(7);
   bad.table_id = 99;  // invalid table
-  channel.send(Channel::Side::B, openflow::encode_frame(openflow::Message{bad}, 20));
-  channel.send(
-      Channel::Side::B,
-      openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 21));
+  send_to_switch(channel, openflow::Message{bad}, 20);
+  send_to_switch(channel, openflow::Message{openflow::BarrierRequest{}}, 21);
   net.run_until(0.01);
   ASSERT_EQ(replies.size(), 2u);  // ErrorMsg then BarrierReply
   const auto* reply = std::get_if<openflow::BarrierReply>(&replies[1].msg);
@@ -265,7 +263,7 @@ TEST(BarrierAck, RebootClearsAcksFromThePreviousBoot) {
   std::vector<openflow::OwnedMessage> replies;
   collect_replies(channel, replies);
 
-  channel.send(Channel::Side::B, openflow::encode_frame(openflow::Message{simple_mod(5)}, 30));
+  send_to_switch(channel, openflow::Message{simple_mod(5)}, 30);
   net.run_until(0.01);
   ASSERT_EQ(net.switch_at(1).table(0).size(), 1u);
 
@@ -273,9 +271,7 @@ TEST(BarrierAck, RebootClearsAcksFromThePreviousBoot) {
   net.reboot_switch(1);
   ASSERT_EQ(net.switch_at(1).table(0).size(), 0u);
 
-  channel.send(
-      Channel::Side::B,
-      openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 31));
+  send_to_switch(channel, openflow::Message{openflow::BarrierRequest{}}, 31);
   net.run_until(0.02);
   ASSERT_EQ(replies.size(), 1u);
   const auto* reply = std::get_if<openflow::BarrierReply>(&replies[0].msg);

@@ -3,10 +3,13 @@
 // iteration budgets) run as ordinary unit tests.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "dataplane/switch.h"
 #include "net/packet.h"
-#include "openflow/codec.h"
 #include "openflow/table_status.h"
+#include "openflow/wire.h"
 #include "util/rng.h"
 
 namespace zen {
@@ -15,6 +18,21 @@ namespace {
 net::Bytes random_bytes(util::Rng& rng, std::size_t max_len) {
   net::Bytes out(rng.next_below(max_len + 1));
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+// Decodes a buffer the way the southbound receive path does: frame by
+// frame through BatchReader until the batch ends or a frame is malformed
+// (a frame whose body fails to decode is skipped, framing stays intact).
+std::vector<openflow::OwnedMessage> decode_batch(
+    std::span<const std::uint8_t> bytes) {
+  std::vector<openflow::OwnedMessage> out;
+  openflow::BatchReader reader(bytes);
+  while (auto view = reader.next()) {
+    if (!view->ok()) break;
+    auto msg = openflow::decode_frame(view->value());
+    if (msg.ok()) out.push_back(std::move(msg).value());
+  }
   return out;
 }
 
@@ -89,8 +107,7 @@ TEST(FuzzCodec, RandomBytesIntoDecoder) {
   util::Rng rng(0xc0de);
   for (int i = 0; i < 20000; ++i) {
     const net::Bytes frame = random_bytes(rng, 96);
-    auto decoded = openflow::decode(frame);
-    (void)decoded;
+    (void)decode_batch(frame);
   }
   SUCCEED();
 }
@@ -111,8 +128,7 @@ TEST(FuzzCodec, CorruptedValidMessagesIntoDecoder) {
       const std::size_t pos = rng.next_below(wire.size());
       wire[pos] = static_cast<std::uint8_t>(rng.next_u64());
     }
-    auto decoded = openflow::decode(wire);
-    (void)decoded;
+    (void)decode_batch(wire);
   }
   SUCCEED();
 }
@@ -153,7 +169,7 @@ TEST(FuzzCodec, LengthFieldAttacksBounded) {
   ASSERT_TRUE(view.has_value());
   EXPECT_FALSE(view->ok());
   EXPECT_FALSE(reader.next().has_value());
-  EXPECT_FALSE(openflow::decode(evil).ok());
+  EXPECT_TRUE(decode_batch(evil).empty());
 }
 
 // ---- dataplane under random rules and traffic ----
@@ -248,15 +264,15 @@ TEST(FuzzSwitch, RandomWireMessagesThroughAgentSurface) {
 
   for (int i = 0; i < 10000; ++i) {
     const net::Bytes wire = random_bytes(rng, 64);
-    auto decoded = openflow::decode(wire);
-    if (!decoded.ok()) continue;
-    // Apply anything rule-shaped; must not crash.
-    if (const auto* mod = std::get_if<openflow::FlowMod>(&decoded.value().msg))
-      sw.flow_mod(*mod, 0);
-    else if (const auto* gm = std::get_if<openflow::GroupMod>(&decoded.value().msg))
-      sw.group_mod(*gm);
-    else if (const auto* mm = std::get_if<openflow::MeterMod>(&decoded.value().msg))
-      sw.meter_mod(*mm);
+    for (const auto& owned : decode_batch(wire)) {
+      // Apply anything rule-shaped; must not crash.
+      if (const auto* mod = std::get_if<openflow::FlowMod>(&owned.msg))
+        sw.flow_mod(*mod, 0);
+      else if (const auto* gm = std::get_if<openflow::GroupMod>(&owned.msg))
+        sw.group_mod(*gm);
+      else if (const auto* mm = std::get_if<openflow::MeterMod>(&owned.msg))
+        sw.meter_mod(*mm);
+    }
   }
   SUCCEED();
 }
@@ -372,12 +388,11 @@ TEST(FuzzTableStatus, CorruptedWireFramesThroughDecoder) {
     for (int f = 0; f < flips; ++f)
       wire[rng.next_below(wire.size())] =
           static_cast<std::uint8_t>(rng.next_u64());
-    auto decoded = openflow::decode(wire);
-    if (!decoded.ok()) continue;
-    if (const auto* exp =
-            std::get_if<openflow::Experimenter>(&decoded.value().msg)) {
-      auto parsed = openflow::parse_table_status_message(*exp);
-      (void)parsed;  // either verdict is fine; crashing is not
+    for (const auto& owned : decode_batch(wire)) {
+      if (const auto* exp = std::get_if<openflow::Experimenter>(&owned.msg)) {
+        auto parsed = openflow::parse_table_status_message(*exp);
+        (void)parsed;  // either verdict is fine; crashing is not
+      }
     }
   }
   SUCCEED();
@@ -393,9 +408,9 @@ TEST(FuzzError, TableFullErrorRoundTripsAndClassifies) {
   ASSERT_TRUE(openflow::is_table_full(err));
 
   const openflow::Bytes wire = openflow::encode_frame(openflow::Message{err}, 7);
-  auto decoded = openflow::decode(wire);
-  ASSERT_TRUE(decoded.ok());
-  const auto* back = std::get_if<openflow::ErrorMsg>(&decoded.value().msg);
+  const auto decoded = decode_batch(wire);
+  ASSERT_EQ(decoded.size(), 1u);
+  const auto* back = std::get_if<openflow::ErrorMsg>(&decoded.front().msg);
   ASSERT_NE(back, nullptr);
   EXPECT_EQ(*back, err);
   EXPECT_TRUE(openflow::is_table_full(*back));
@@ -416,8 +431,7 @@ TEST(FuzzError, TruncatedAndCorruptedTableFullFramesNeverCrash) {
   for (std::size_t len = 0; len < base.size(); ++len) {
     openflow::Bytes cut(base.begin(),
                         base.begin() + static_cast<std::ptrdiff_t>(len));
-    auto decoded = openflow::decode(cut);
-    (void)decoded;
+    (void)decode_batch(cut);
   }
   for (int i = 0; i < 20000; ++i) {
     openflow::Bytes wire = base;
@@ -425,10 +439,9 @@ TEST(FuzzError, TruncatedAndCorruptedTableFullFramesNeverCrash) {
     for (int f = 0; f < flips; ++f)
       wire[rng.next_below(wire.size())] =
           static_cast<std::uint8_t>(rng.next_u64());
-    auto decoded = openflow::decode(wire);
-    if (!decoded.ok()) continue;
-    if (const auto* e = std::get_if<openflow::ErrorMsg>(&decoded.value().msg))
-      (void)openflow::is_table_full(*e);  // must never misbehave
+    for (const auto& owned : decode_batch(wire))
+      if (const auto* e = std::get_if<openflow::ErrorMsg>(&owned.msg))
+        (void)openflow::is_table_full(*e);  // must never misbehave
   }
   SUCCEED();
 }

@@ -8,6 +8,7 @@
 #include "controller/channel.h"
 #include "controller/controller.h"
 #include "intent/intent_manager.h"
+#include "openflow/wire.h"
 #include "topo/generators.h"
 
 namespace zen {
@@ -15,21 +16,40 @@ namespace {
 
 // ---- Channel ----
 
+// Stages one Hello frame toward `to` and flushes it as its own batch.
+openflow::Bytes send_hello(controller::Channel& channel,
+                           controller::Channel::Side to, openflow::Xid xid) {
+  channel.stage(to).append(openflow::Message{openflow::Hello{}}, xid);
+  const auto frame = channel.stage(to).bytes();
+  openflow::Bytes sent(frame.begin(), frame.end());
+  channel.flush(to);
+  return sent;
+}
+
+// The xid of every frame in one delivered batch.
+std::vector<openflow::Xid> xids_of(const std::vector<std::uint8_t>& batch) {
+  std::vector<openflow::Xid> xids;
+  openflow::BatchReader reader(batch);
+  while (auto frame = reader.next())
+    if (frame->ok()) xids.push_back(frame->value().xid);
+  return xids;
+}
+
 TEST(Channel, DeliversInOrderAfterLatency) {
   sim::EventQueue events;
   controller::Channel channel(events, 0.001);
-  std::vector<int> received;
+  std::vector<openflow::Xid> received;
   channel.set_receiver(controller::Channel::Side::B, [&](std::vector<std::uint8_t> bytes) {
-    received.push_back(bytes[0]);
+    for (const openflow::Xid xid : xids_of(bytes)) received.push_back(xid);
   });
-  channel.send(controller::Channel::Side::B, {1});
-  channel.send(controller::Channel::Side::B, {2});
-  channel.send(controller::Channel::Side::B, {3});
+  send_hello(channel, controller::Channel::Side::B, 1);
+  send_hello(channel, controller::Channel::Side::B, 2);
+  send_hello(channel, controller::Channel::Side::B, 3);
   EXPECT_TRUE(received.empty());  // latency not yet elapsed
   events.run_until(0.0005);
   EXPECT_TRUE(received.empty());
   events.run_until(0.002);
-  EXPECT_EQ(received, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(received, (std::vector<openflow::Xid>{1, 2, 3}));
 }
 
 TEST(Channel, CountsBytesAndMessagesPerDirection) {
@@ -37,14 +57,16 @@ TEST(Channel, CountsBytesAndMessagesPerDirection) {
   controller::Channel channel(events, 0.0);
   channel.set_receiver(controller::Channel::Side::A, [](std::vector<std::uint8_t>) {});
   channel.set_receiver(controller::Channel::Side::B, [](std::vector<std::uint8_t>) {});
-  channel.send(controller::Channel::Side::B, {1, 2, 3});
-  channel.send(controller::Channel::Side::B, {4});
-  channel.send(controller::Channel::Side::A, {5, 6});
+  const std::size_t frame =
+      send_hello(channel, controller::Channel::Side::B, 1).size();
+  send_hello(channel, controller::Channel::Side::B, 2);
+  send_hello(channel, controller::Channel::Side::A, 3);
   events.run(100);
   EXPECT_EQ(channel.messages_a_to_b(), 2u);
-  EXPECT_EQ(channel.bytes_a_to_b(), 4u);
+  EXPECT_EQ(channel.bytes_a_to_b(), 2 * frame);
   EXPECT_EQ(channel.messages_b_to_a(), 1u);
-  EXPECT_EQ(channel.bytes_b_to_a(), 2u);
+  EXPECT_EQ(channel.bytes_b_to_a(), frame);
+  EXPECT_EQ(channel.flushes(), 3u);
 }
 
 // ---- SimHost ARP pending-queue cap ----

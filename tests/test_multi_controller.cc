@@ -137,7 +137,9 @@ TEST(RoleCodec, RoundtripRoleMessages) {
   req.role = ControllerRole::Master;
   req.generation_id = 0x123456789abcdef0ULL;
   const auto wire = openflow::encode_frame(openflow::Message{req}, 7);
-  auto decoded = openflow::decode(wire);
+  auto view = openflow::parse_frame(wire);
+  ASSERT_TRUE(view.ok());
+  auto decoded = openflow::decode_frame(view.value());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(std::get<openflow::RoleRequest>(decoded.value().msg), req);
 
@@ -146,7 +148,9 @@ TEST(RoleCodec, RoundtripRoleMessages) {
   reply.generation_id = 42;
   reply.accepted = false;
   const auto wire2 = openflow::encode_frame(openflow::Message{reply}, 8);
-  auto decoded2 = openflow::decode(wire2);
+  auto view2 = openflow::parse_frame(wire2);
+  ASSERT_TRUE(view2.ok());
+  auto decoded2 = openflow::decode_frame(view2.value());
   ASSERT_TRUE(decoded2.ok());
   EXPECT_EQ(std::get<openflow::RoleReply>(decoded2.value().msg), reply);
 }

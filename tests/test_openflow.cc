@@ -2,7 +2,7 @@
 
 #include "net/headers.h"
 #include "net/packet.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 
 namespace zen::openflow {
 namespace {
@@ -174,7 +174,10 @@ TEST(Instructions, OutputToHelper) {
 template <typename T>
 void expect_roundtrip(const T& msg, Xid xid = 0x12345678) {
   const Bytes wire = encode_frame(Message{msg}, xid);
-  auto decoded = decode(wire);
+  auto view = parse_frame(wire);
+  ASSERT_TRUE(view.ok()) << view.error();
+  EXPECT_EQ(view.value().frame.size(), wire.size());
+  auto decoded = decode_frame(view.value());
   ASSERT_TRUE(decoded.ok()) << decoded.error();
   EXPECT_EQ(decoded.value().xid, xid);
   const T* out = std::get_if<T>(&decoded.value().msg);
@@ -350,13 +353,23 @@ TEST(Codec, StatsRoundtrips) {
 TEST(Codec, RejectsBadVersion) {
   Bytes wire = encode_frame(Message{Hello{}}, 1);
   wire[0] = 0x01;
-  EXPECT_FALSE(decode(wire).ok());
+  EXPECT_FALSE(parse_frame(wire).ok());
 }
 
 TEST(Codec, RejectsLengthMismatch) {
+  // A byte trailing a whole frame is a truncated next frame: the frame
+  // before it still decodes, the stray byte errors and ends the batch.
   Bytes wire = encode_frame(Message{Hello{}}, 1);
   wire.push_back(0);
-  EXPECT_FALSE(decode(wire).ok());
+  BatchReader reader(wire);
+  auto first = reader.next();
+  ASSERT_TRUE(first.has_value() && first->ok());
+  EXPECT_EQ(first->value().frame.size(), wire.size() - 1);
+  EXPECT_TRUE(decode_frame(first->value()).ok());
+  auto stray = reader.next();
+  ASSERT_TRUE(stray.has_value());
+  EXPECT_FALSE(stray->ok());
+  EXPECT_FALSE(reader.next().has_value());
 }
 
 // ---- batch framing ----

@@ -4,6 +4,7 @@
 // loss fail modes across a reconnect.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -47,7 +48,7 @@ Switch bounded_switch(std::size_t capacity, EvictionPolicy policy) {
     openflow::PortDesc port;
     port.port_no = static_cast<std::uint32_t>(i);
     port.hw_addr = net::MacAddress::from_u64(static_cast<std::uint64_t>(i));
-    port.name = "p" + std::to_string(i);
+    port.name = std::string("p").append(std::to_string(i));
     sw.add_port(port);
   }
   return sw;
@@ -316,6 +317,108 @@ TEST(StoreTableFull, EvictionParksRuleAuditsDoNotFlap) {
   EXPECT_TRUE(report->converged);
   EXPECT_EQ(report->repaired, 1u);
   EXPECT_TRUE(net.switch_at(1).table(0).contains(mine.match, 10));
+}
+
+TEST(StoreTableFull, BundleEvictsOnePerMemberAndRecommits) {
+  sim::SimNetwork net(topo::make_linear(1, 1),
+                      bounded_options(4, EvictionPolicy::Off));
+  controller::Controller ctrl(net);
+  ctrl.connect_all();
+  net.run_until(0.1);
+  auto& store = ctrl.rule_store();
+
+  for (std::uint32_t i = 1; i <= 4; ++i)
+    store.install(1, store_rule(i, 10, 0xc0 + i));
+  net.run_until(0.4);
+  ASSERT_EQ(net.switch_at(1).table(0).size(), 4u);
+
+  // A two-rule path of higher importance arrives into the full table: the
+  // switch rejects the whole bundle, the store sacrifices one of its own
+  // imp-10 rules per member and re-commits, and the bundle lands whole.
+  std::optional<std::optional<openflow::Error>> outcome;
+  store.install_bundle(1, {store_rule(8, 50, 0xf8), store_rule(9, 50, 0xf9)},
+                       [&](const std::optional<openflow::Error>& err) {
+                         outcome = err;
+                       });
+  net.run_until(1.0);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->has_value()) << "re-commit should have succeeded";
+  const auto& table = net.switch_at(1).table(0);
+  EXPECT_TRUE(table.contains(store_rule(8, 50, 0).match, 10));
+  EXPECT_TRUE(table.contains(store_rule(9, 50, 0).match, 10));
+  EXPECT_EQ(table.size(), 4u);
+  EXPECT_EQ(store.degraded_rules(1), 2u);
+  EXPECT_EQ(store.stats().rules_degraded, 2u);
+  EXPECT_EQ(store.stats().table_full_rejections, 1u);
+
+  // A member is never a victim, even when it is the least important rule
+  // in the table: the imp-5 member cannot make room, so the imp-60 one
+  // frees a slot per round and the second re-commit lands both.
+  outcome.reset();
+  store.install_bundle(1, {store_rule(6, 60, 0xf6), store_rule(7, 5, 0xf7)},
+                       [&](const std::optional<openflow::Error>& err) {
+                         outcome = err;
+                       });
+  net.run_until(2.0);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->has_value()) << "second re-commit should succeed";
+  EXPECT_TRUE(table.contains(store_rule(6, 60, 0).match, 10));
+  EXPECT_TRUE(table.contains(store_rule(7, 5, 0).match, 10));
+  EXPECT_EQ(store.degraded_rules(1), 4u);  // all four imp-10 rules
+}
+
+TEST(StoreTableFull, OneMemberBundleSendsPlainFlowMod) {
+  // Every frame the controller sends takes the next xid, so the xids a
+  // send consumes count its frames. A one-member list must cost exactly a
+  // FlowMod and its chasing barrier; a two-member list a BundleOpen, two
+  // BundleAdds, a BundleCommit and the barrier.
+  sim::SimNetwork net(topo::make_linear(1, 1),
+                      bounded_options(8, EvictionPolicy::Off));
+  controller::Controller::Options copts;
+  copts.echo_interval_s = 0;  // no heartbeat xids in between
+  controller::Controller ctrl(net, copts);
+  ctrl.connect_all();
+  net.run_until(0.1);
+  auto& store = ctrl.rule_store();
+
+  // Brackets `send` between two untracked marker FlowMods and returns how
+  // many xids it consumed; `first` is the first of them.
+  const openflow::FlowMod marker = rule_for(200, 0);
+  openflow::Xid first = 0;
+  const auto xids_used_by = [&](auto&& send) {
+    first = ctrl.flow_mod(1, marker) + 1;
+    send();
+    net.run_until(net.now() + 0.1);
+    return ctrl.flow_mod(1, marker) - first;
+  };
+  std::optional<std::optional<openflow::Error>> outcome;
+  const auto done = [&](const std::optional<openflow::Error>& err) {
+    outcome = err;
+  };
+
+  EXPECT_EQ(xids_used_by([&] {
+              store.install_bundle(1, {store_rule(1, 5, 0xa1)}, done);
+            }),
+            2u);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->has_value());
+  // The switch applied a lone FlowMod under the install's first xid.
+  const auto& acked = ctrl.agent(1)->acked_mods();
+  EXPECT_NE(std::find(acked.begin(), acked.end(), first), acked.end());
+  EXPECT_TRUE(net.switch_at(1).table(0).contains(store_rule(1, 5, 0).match,
+                                                 10));
+
+  outcome.reset();
+  EXPECT_EQ(xids_used_by([&] {
+              store.install_bundle(
+                  1, {store_rule(2, 5, 0xa2), store_rule(3, 5, 0xa3)}, done);
+            }),
+            5u);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->has_value());
+  // The bundle acks under its commit's xid, not the first one.
+  EXPECT_EQ(std::find(acked.begin(), acked.end(), first), acked.end());
+  EXPECT_NE(std::find(acked.begin(), acked.end(), first + 3), acked.end());
 }
 
 // ---- intent regression: eviction must not recompile-storm ----

@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Compare BENCH_*.json artifacts against committed baselines.
+"""Compare two sets of BENCH_*.json artifacts.
 
 Usage:
-    bench_compare.py --baseline-dir bench/baselines --current-dir build/bench \
+    bench_compare.py --baseline-dir DIR --current-dir DIR \
         [--threshold 0.25] [--gate NAME ...]
 
-For every gated benchmark name, find its ns_per_op in both the baseline and
-the current artifact (matched by file name) and fail if the current number
-regressed by more than the threshold (default +25%). Improvements and
-benchmarks absent from the gate list are reported but never fail the run.
+For every gated benchmark name, find its ns_per_op in both sets and fail if
+the current number regressed by more than the threshold (default +25%).
+Improvements and benchmarks absent from the gate list are reported but never
+fail the run. Each directory is searched recursively; when it holds several
+runs of a benchmark (rounds of tools/bench_ab.sh), the fastest is used.
 
-Baselines were measured on a quiet dev box; the 25% band absorbs shared-CI
-runner noise while still catching algorithmic regressions (the failures this
-gate exists for are 2-100x, not 1.1x). Refresh a baseline by copying the
-BENCH_*.json from a clean local Release run into bench/baselines/.
+CI compares like with like: tools/bench_ab.sh runs the merge-base and HEAD
+builds interleaved on the same runner, and this script gates the ratio.
+bench/baselines/ keeps BENCH_*.json from an earlier, faster dev box as
+history; comparing against it measures the machine, not the code.
 
 Exit codes: 0 ok, 1 regression, 2 usage/missing-data error.
 """
@@ -40,12 +41,13 @@ def load_benchmarks(path):
 
 
 def collect(dirpath):
-    """name -> (ns_per_op, source file) across every artifact in a dir."""
+    """name -> (fastest ns_per_op, source file) across a dir's artifacts."""
     table = {}
-    for path in sorted(pathlib.Path(dirpath).glob("BENCH_*.json")):
+    for path in sorted(pathlib.Path(dirpath).rglob("BENCH_*.json")):
         try:
             for name, ns in load_benchmarks(path).items():
-                table[name] = (ns, path.name)
+                if name not in table or ns < table[name][0]:
+                    table[name] = (ns, path.name)
         except (json.JSONDecodeError, KeyError) as err:
             print(f"error: unreadable artifact {path}: {err}", file=sys.stderr)
             sys.exit(2)
