@@ -75,10 +75,12 @@ class FlowRuleStore {
   // becomes a managed cookie. `done` fires once with the verdict.
   //
   // TableFull ladder: the store sacrifices up to one of its own
-  // lower-importance rules per member, re-sends the whole list, and once
-  // that runs out (kMaxTableFullRetries, or nothing expendable) parks every
-  // member as degraded — a multi-rule path is only intent-complete as a
-  // unit. Audit repairs run through the same ladder.
+  // lower-importance rules per member, in that member's table, re-sends
+  // the whole list, and once that runs out (kMaxTableFullRetries, or
+  // nothing expendable) parks every member as degraded — a multi-rule path
+  // is only intent-complete as a unit. TableFull does not name the full table, so a list spanning
+  // several tables makes room in each member's table, including tables
+  // that still had room. Audit repairs run through the same ladder.
   void install_bundle(Dpid dpid, std::vector<openflow::FlowMod> mods,
                       CompletionFn done = nullptr);
   // One-rule install_bundle.

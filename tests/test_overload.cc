@@ -343,10 +343,13 @@ TEST(StoreTableFull, BundleEvictsOnePerMemberAndRecommits) {
   net.run_until(1.0);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->has_value()) << "re-commit should have succeeded";
-  const auto& table = net.switch_at(1).table(0);
-  EXPECT_TRUE(table.contains(store_rule(8, 50, 0).match, 10));
-  EXPECT_TRUE(table.contains(store_rule(9, 50, 0).match, 10));
-  EXPECT_EQ(table.size(), 4u);
+  // A bundle rollback replaces the switch's tables: look them up afresh.
+  const auto table = [&]() -> const dataplane::FlowTable& {
+    return net.switch_at(1).table(0);
+  };
+  EXPECT_TRUE(table().contains(store_rule(8, 50, 0).match, 10));
+  EXPECT_TRUE(table().contains(store_rule(9, 50, 0).match, 10));
+  EXPECT_EQ(table().size(), 4u);
   EXPECT_EQ(store.degraded_rules(1), 2u);
   EXPECT_EQ(store.stats().rules_degraded, 2u);
   EXPECT_EQ(store.stats().table_full_rejections, 1u);
@@ -362,9 +365,51 @@ TEST(StoreTableFull, BundleEvictsOnePerMemberAndRecommits) {
   net.run_until(2.0);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->has_value()) << "second re-commit should succeed";
-  EXPECT_TRUE(table.contains(store_rule(6, 60, 0).match, 10));
-  EXPECT_TRUE(table.contains(store_rule(7, 5, 0).match, 10));
+  EXPECT_TRUE(table().contains(store_rule(6, 60, 0).match, 10));
+  EXPECT_TRUE(table().contains(store_rule(7, 5, 0).match, 10));
   EXPECT_EQ(store.degraded_rules(1), 4u);  // all four imp-10 rules
+}
+
+TEST(StoreTableFull, MultiTableBundleEvictsInEveryMemberTable) {
+  // TableFull does not say which table was full, so a bundle spanning two
+  // tables makes room in both: table 1 had free slots but still gives up
+  // one of its lower-importance rules.
+  sim::SimNetwork net(topo::make_linear(1, 1),
+                      bounded_options(4, EvictionPolicy::Off));
+  controller::Controller ctrl(net);
+  ctrl.connect_all();
+  net.run_until(0.1);
+  auto& store = ctrl.rule_store();
+
+  const auto in_table = [](openflow::FlowMod mod, std::uint8_t table_id) {
+    mod.table_id = table_id;
+    return mod;
+  };
+  for (std::uint32_t i = 1; i <= 4; ++i)
+    store.install(1, store_rule(i, 10, 0xc0 + i));
+  for (std::uint32_t i = 1; i <= 2; ++i)
+    store.install(1, in_table(store_rule(i, 10, 0xd0 + i), 1));
+  net.run_until(0.4);
+  // A bundle rollback replaces the switch's tables: look them up afresh.
+  const auto table = [&](std::uint8_t id) -> const dataplane::FlowTable& {
+    return net.switch_at(1).table(id);
+  };
+  ASSERT_EQ(table(0).size(), 4u);
+  ASSERT_EQ(table(1).size(), 2u);
+
+  std::optional<std::optional<openflow::Error>> outcome;
+  store.install_bundle(
+      1, {store_rule(8, 50, 0xf8), in_table(store_rule(9, 50, 0xf9), 1)},
+      [&](const std::optional<openflow::Error>& err) { outcome = err; });
+  net.run_until(1.0);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->has_value()) << "re-commit should have succeeded";
+  EXPECT_TRUE(table(0).contains(store_rule(8, 50, 0).match, 10));
+  EXPECT_TRUE(table(1).contains(store_rule(9, 50, 0).match, 10));
+  EXPECT_EQ(table(0).size(), 4u);
+  EXPECT_EQ(table(1).size(), 2u);  // one sacrificed, one added
+  EXPECT_EQ(store.degraded_rules(1), 2u);
+  EXPECT_EQ(store.stats().table_full_rejections, 1u);
 }
 
 TEST(StoreTableFull, OneMemberBundleSendsPlainFlowMod) {

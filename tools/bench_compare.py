@@ -8,7 +8,8 @@ Usage:
 For every gated benchmark name, find its ns_per_op in both sets and fail if
 the current number regressed by more than the threshold (default +25%).
 Improvements and benchmarks absent from the gate list are reported but never
-fail the run. Each directory is searched recursively; when it holds several
+fail the run. A gated name missing from the baseline only (a benchmark newer
+than the base) is skipped with a warning; missing from the current run fails. Each directory is searched recursively; when it holds several
 runs of a benchmark (rounds of tools/bench_ab.sh), the fastest is used.
 
 CI compares like with like: tools/bench_ab.sh runs the merge-base and HEAD
@@ -78,14 +79,15 @@ def main():
     failures = []
     print(f"{'benchmark':<40} {'baseline':>12} {'current':>12} {'delta':>8}")
     for name in gates:
-        if name not in baseline:
-            print(f"error: gated benchmark {name!r} missing from baselines",
-                  file=sys.stderr)
-            sys.exit(2)
         if name not in current:
             print(f"error: gated benchmark {name!r} missing from current run "
                   f"(did the bench binary fail?)", file=sys.stderr)
             sys.exit(2)
+        if name not in baseline:
+            # A benchmark added with its gate, or newer than the base.
+            print(f"warning: gated benchmark {name!r} missing from baselines; "
+                  f"not gated", file=sys.stderr)
+            continue
         base_ns, _ = baseline[name]
         cur_ns, _ = current[name]
         delta = (cur_ns - base_ns) / base_ns if base_ns > 0 else 0.0
