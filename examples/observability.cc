@@ -179,6 +179,7 @@ int main() {
   std::printf("\n");
 
   // ---- five slowest traces ----
+#ifndef ZEN_OBS_DISABLED
   auto all_traces = tracer.finished();
   std::sort(all_traces.begin(), all_traces.end(),
             [](const auto& x, const auto& y) {
@@ -194,6 +195,7 @@ int main() {
   std::printf("  (%llu traces abandoned during the storm — punts whose "
               "answer the lossy channel ate)\n",
               static_cast<unsigned long long>(tracer.abandoned_traces()));
+#endif
 
   // ---- artifacts ----
   auto& registry = obs::MetricsRegistry::global();

@@ -682,6 +682,39 @@ void Controller::flood_packet(Dpid dpid, std::uint32_t in_port,
   packet_out(dpid, out);
 }
 
+void Controller::flood_to_edge_ports(const openflow::Bytes& data,
+                                     Dpid except_dpid,
+                                     std::uint32_t except_port) {
+  for (const Dpid dpid : view_.switch_ids()) {
+    const auto* features = view_.switch_features(dpid);
+    if (!features) continue;
+    openflow::PacketOut out;
+    out.in_port = openflow::Ports::kController;
+    for (const auto& port : features->ports) {
+      if (view_.is_infrastructure_port(dpid, port.port_no)) continue;
+      if (dpid == except_dpid && port.port_no == except_port) continue;
+      out.actions.push_back(openflow::OutputAction{port.port_no, 0xffff});
+    }
+    if (out.actions.empty()) continue;
+    out.data = data;
+    packet_out(dpid, out);
+  }
+}
+
+bool Controller::proxy_arp(Dpid dpid, std::uint32_t in_port,
+                           const net::ArpMessage& arp) {
+  if (arp.opcode != net::ArpMessage::kRequest) return false;
+  const HostInfo* target = view_.host_by_ip(arp.target_ip);
+  if (!target) return false;
+  openflow::PacketOut out;
+  out.in_port = openflow::Ports::kController;
+  out.actions = {openflow::OutputAction{in_port, 0xffff}};
+  out.data = net::build_arp_reply(target->mac, arp.target_ip, arp.sender_mac,
+                                  arp.sender_ip);
+  packet_out(dpid, out);
+  return true;
+}
+
 void Controller::on_batch(Dpid dpid,
                           std::vector<openflow::OwnedMessage> batch) {
   if (halted_) return;  // a dead controller processes nothing

@@ -251,6 +251,13 @@ class Controller {
   void install_table_miss(Dpid dpid, std::uint8_t table_id = 0);
   void flood_packet(Dpid dpid, std::uint32_t in_port, const openflow::Bytes& data,
                     std::uint32_t buffer_id = openflow::kNoBuffer);
+  // Loop-free fabric flood: sends `data` out of every edge port the view
+  // knows (ports not facing another switch) except the one it came in on.
+  void flood_to_edge_ports(const openflow::Bytes& data, Dpid except_dpid,
+                           std::uint32_t except_port);
+  // Proxy ARP: answers a request for a known host straight out of the
+  // requester's port. False (nothing sent) for replies and unknown targets.
+  bool proxy_arp(Dpid dpid, std::uint32_t in_port, const net::ArpMessage& arp);
 
   // ---- fault tolerance ----
   // Liveness as the controller sees it: true once the handshake completed

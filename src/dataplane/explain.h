@@ -1,15 +1,16 @@
 // Explain engine data model: the structured record of one pipeline walk.
 //
-// Switch::explain() runs a synthetic packet through the full pipeline in
-// dry-run mode (no counters credited, no meter tokens consumed, no cache
-// insert, no learning) and records every decision as an ExplainStep — the
+// Switch::explain() classifies a synthetic packet with the same code the
+// forwarding path uses and renders the verdict without applying it (no
+// counters credited, no meter tokens consumed, no cache insert, no
+// learning), recording every decision as an ExplainStep — the
 // ofproto/trace analog. The diag module chains per-switch traces along sim
 // links into end-to-end explanations and renders them as text and JSON.
 //
-// ExplainProbe is the hook the pipeline carries: a single pointer when
+// ExplainProbe is the hook the classifier carries: a single pointer when
 // observability is on, an empty no-op type under ZEN_OBS_DISABLED (the
-// dry-run mechanics stay available either way — the invariant monitor
-// needs only the ForwardResult, not the narration).
+// verdict stays available either way — the invariant monitor needs only
+// the ForwardResult, not the narration).
 #pragma once
 
 #include <cstdint>
@@ -89,7 +90,7 @@ struct ExplainTrace {
 
 #ifndef ZEN_OBS_DISABLED
 
-// Carried by the pipeline context; records into the attached trace.
+// Carried by the classification walk; records into the attached trace.
 struct ExplainProbe {
   ExplainTrace* trace = nullptr;
 

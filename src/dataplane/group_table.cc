@@ -16,7 +16,7 @@ bool GroupTable::apply(const openflow::GroupMod& mod) {
       }
       if (mod.type == openflow::GroupType::Indirect && mod.buckets.size() != 1)
         return false;
-      groups_.emplace(mod.group_id, Group{mod.type, mod.buckets, 0});
+      groups_.emplace(mod.group_id, Group{mod.type, mod.buckets});
       return true;
     }
     case openflow::GroupModCommand::Modify: {

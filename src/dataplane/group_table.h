@@ -16,7 +16,6 @@ namespace zen::dataplane {
 struct Group {
   openflow::GroupType type = openflow::GroupType::All;
   std::vector<openflow::Bucket> buckets;
-  std::uint64_t packet_count = 0;
 };
 
 class GroupTable {

@@ -1,9 +1,14 @@
 // Megaflow-style exact-match flow cache.
 //
-// Sits in front of the multi-table pipeline: the first packet of a flow
-// runs the full pipeline and the resulting verdict (output set / packet-in /
-// drop, plus the entries to credit and meters to charge) is cached keyed by
-// the exact FlowKey. Subsequent packets of the flow skip the classifier.
+// Sits in front of the multi-table pipeline. Forwarding is two steps, as
+// in Open vSwitch's translate/execute split: classification walks the
+// tables and records a CachedVerdict, the ops it decided on (entries to
+// credit, meters, outputs, the first punt, NORMAL steps), without changing
+// any switch state, and Switch::apply carries a verdict out. The first packet
+// of a flow is classified, applied, and its verdict cached keyed by the
+// exact FlowKey; later packets of the flow apply the cached verdict and
+// skip the classifier. Hits and misses share the one apply step, so the
+// cache is transparent by construction.
 //
 // Invalidation is coarse, as in early Open vSwitch: any flow/group table
 // change bumps a global version; the first probe under a new version drops
@@ -14,46 +19,76 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "dataplane/flow_table.h"
 #include "net/flow_key.h"
+#include "net/packet.h"
 #include "obs/shard_stats.h"
-#include "openflow/actions.h"
+#include "openflow/constants.h"
 
 namespace zen::dataplane {
 
-// The cached outcome of one pipeline traversal.
+// The outcome of classifying one packet: everything the switch does about
+// it, as ops in pipeline order. Switch::apply runs them; a meter refusal
+// stops the walk, so what came before the meter still happens. Only
+// verdicts that hold for every packet of the flow are cached; those never
+// carry rewritten frames, NORMAL steps or drops.
 struct CachedVerdict {
-  struct PortQueue {
-    std::uint32_t port = 0;
-    std::uint32_t queue_id = 0;
+  // The frame an output, punt or flood carries: the packet as it arrived,
+  // or an index into `rewritten`.
+  static constexpr std::uint32_t kIngressFrame = 0xffffffff;
+  // Credit the entry's packet and byte counters. Credits and meter charges
+  // count the packet as rewritten so far: `grown` is the bytes its rewrites
+  // added (pushed VLAN tags) or, when negative, removed.
+  struct Credit {
+    FlowEntryPtr entry;
+    std::int32_t grown = 0;
   };
-  // A meter on the path, with how much of the verdict the pipeline had
-  // carried out when it reached the meter: a refusal keeps exactly that
-  // (credits, outputs, PacketIn) and drops the rest.
+  // Charge the meter; a refusal drops the packet here.
   struct Meter {
     std::uint32_t meter_id = 0;
-    std::size_t credited_before = 0;
-    std::size_t outputs_before = 0;
-    bool to_controller_before = false;
+    std::int32_t grown = 0;
   };
-  // Concrete egress ports (reserved ports already resolved except
-  // kController), in pipeline order. Outputs to a port that was down count
-  // as its tx_dropped, as the pipeline does.
-  std::vector<PortQueue> out_ports;
-  // The first controller output of the pipeline (later ones are ignored).
-  bool to_controller = false;
-  std::uint8_t controller_table = 0;
-  std::uint64_t controller_cookie = 0;
-  std::uint16_t controller_max_len = 0;  // PacketIn data bytes
-  bool miss = false;  // table-miss (controller punt uses reason NoMatch)
-  // Entries to credit stats on each cached hit, in pipeline order.
-  std::vector<FlowEntryPtr> credited;
-  // Meters to charge, in pipeline order; the first refusal drops the packet.
-  std::vector<Meter> meters;
-  // Packet rewrites are NOT cacheable in this design (see switch.cc); a
-  // verdict with rewrites sets this flag and is never inserted.
+  // Send the frame out of an existing port (a port that is down counts it
+  // as tx_dropped).
+  struct Output {
+    std::uint32_t port = 0;
+    std::uint32_t queue_id = 0;
+    std::uint32_t frame = kIngressFrame;
+  };
+  // Punt to the controller: the packet's first controller output (later
+  // ones are ignored).
+  struct Punt {
+    std::uint64_t cookie = 0;
+    std::uint32_t frame = kIngressFrame;
+    std::uint16_t max_len = 0;  // PacketIn data bytes
+    std::uint8_t table_id = 0;
+    openflow::PacketInReason reason = openflow::PacketInReason::NoMatch;
+  };
+  // NORMAL learning: the source MAC sits behind the ingress port.
+  struct Learn {
+    std::uint64_t mac = 0;
+  };
+  // NORMAL flood: the next `outputs` outputs, dropped whole when the flood
+  // deduper saw the frame inside its window.
+  struct Flood {
+    std::uint32_t frame = kIngressFrame;
+    std::uint32_t outputs = 0;
+  };
+  // An action cannot apply to the packet (or a meter would refuse it):
+  // drop it here.
+  struct Drop {};
+  using Op = std::variant<Credit, Meter, Output, Punt, Learn, Flood, Drop>;
+
+  std::vector<Op> ops;
+  // Wire bytes of the packet after rewrites, one per rewritten state that
+  // an output, punt or flood carries.
+  std::vector<net::Bytes> rewritten;
+  // False for verdicts that do not hold for the flow's next packet: a
+  // rewrite reached an up port or a punt, NORMAL ran, or the packet
+  // dropped.
   bool cacheable = true;
 };
 

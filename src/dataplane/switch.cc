@@ -14,6 +14,9 @@ namespace zen::dataplane {
 
 namespace {
 constexpr int kMaxActionDepth = 4;  // bounds group recursion
+// Pipeline depth and PacketIn buffer ring size, fixed as in hardware.
+constexpr std::uint8_t kTables = 4;
+constexpr std::size_t kPacketBufferSlots = 256;
 
 struct SwitchMetrics {
   obs::Counter& packets;
@@ -88,6 +91,32 @@ std::string flow_key_diff(const net::FlowKey& a, const net::FlowKey& b) {
   return out;
 }
 
+// The bytes a verdict's output, punt or flood carries.
+std::span<const std::uint8_t> frame_of(const CachedVerdict& verdict,
+                                       std::uint32_t frame,
+                                       std::span<const std::uint8_t> ingress) {
+  return frame == CachedVerdict::kIngressFrame
+             ? ingress
+             : std::span<const std::uint8_t>(verdict.rewritten[frame]);
+}
+
+// The one PacketIn builder.
+openflow::PacketIn make_packet_in(const CachedVerdict::Punt& punt,
+                                  std::span<const std::uint8_t> frame,
+                                  std::uint32_t in_port,
+                                  std::uint32_t buffer_id) {
+  openflow::PacketIn pin;
+  pin.reason = punt.reason;
+  pin.table_id = punt.table_id;
+  pin.cookie = punt.cookie;
+  pin.in_port = in_port;
+  pin.total_len = static_cast<std::uint16_t>(frame.size());
+  pin.buffer_id = buffer_id;
+  const std::size_t n = std::min<std::size_t>(punt.max_len, frame.size());
+  pin.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
+  return pin;
+}
+
 // ShardStats slot layout for a Switch's per-instance hot-path counters.
 constexpr std::size_t kSlotPackets = 0;
 constexpr std::size_t kSlotCacheHits = 1;
@@ -101,19 +130,16 @@ Switch::Switch(std::uint64_t datapath_id, SwitchConfig config)
       shard_(std::make_unique<obs::ShardStats>()),
       cache_(config.cache_capacity, config.cache_enabled, *shard_,
              kSlotCacheHits, kSlotCacheMisses, kSlotCacheEvictions),
-      buffered_(config.packet_buffer_slots) {
-  if (config_.n_tables == 0) config_.n_tables = 1;
+      buffered_(kPacketBufferSlots) {
   if (config_.packet_in_rate_pps > 0) {
     // Burst of ~100 ms worth of punts, at least 1.
     packet_in_bucket_.emplace(config_.packet_in_rate_pps,
                               std::max(1.0, config_.packet_in_rate_pps / 10));
   }
-  tables_.reserve(config_.n_tables);
-  for (std::uint8_t i = 0; i < config_.n_tables; ++i) {
-    tables_.emplace_back(config_.lookup_mode);
-    tables_.back().set_capacity(config_.table_capacity, config_.eviction);
-  }
-  vacancy_down_.assign(config_.n_tables, false);
+  tables_.resize(kTables);
+  for (FlowTable& table : tables_)
+    table.set_capacity(config_.table_capacity, config_.eviction);
+  vacancy_down_.assign(kTables, false);
   shard_->bind(kSlotPackets, SwitchMetrics::get().packets);
   {
     auto& reg = obs::MetricsRegistry::global();
@@ -212,72 +238,48 @@ std::vector<openflow::PortDesc> Switch::ports() const {
   return out;
 }
 
-std::uint32_t Switch::buffer_packet(const net::Bytes& frame) {
-  if (buffered_.empty()) return openflow::kNoBuffer;
+std::uint32_t Switch::buffer_packet(std::span<const std::uint8_t> frame) {
   const std::uint32_t id = next_buffer_id_;
-  buffered_[id % buffered_.size()] = frame;
+  buffered_[id % buffered_.size()].assign(frame.begin(), frame.end());
   next_buffer_id_ = (next_buffer_id_ + 1) % 0x7fffffff;
   return id;
 }
 
-void Switch::make_packet_in(PipelineContext& ctx,
-                            openflow::PacketInReason reason,
-                            std::uint8_t table_id, std::uint64_t cookie,
-                            std::uint16_t max_len) {
-  // One punt decision per packet: a PacketIn, or one suppressed punt.
-  if (ctx.result->packet_in || ctx.punt_suppressed) return;
-  if (ctx.dry_run) {
-    // Report the punt without buffering the frame, consuming rate-limit
-    // tokens, or touching the punt counters.
-    const net::Bytes frame = ctx.pkt->serialize();
-    openflow::PacketIn pin;
-    pin.reason = reason;
-    pin.table_id = table_id;
-    pin.cookie = cookie;
-    pin.in_port = ctx.in_port;
-    pin.total_len = static_cast<std::uint16_t>(frame.size());
-    pin.buffer_id = openflow::kNoBuffer;
-    const std::size_t n = std::min<std::size_t>(max_len, frame.size());
-    pin.data.assign(frame.begin(),
-                    frame.begin() + static_cast<std::ptrdiff_t>(n));
-    ctx.result->packet_in = std::move(pin);
-    if (ctx.probe.active()) {
-      ExplainStep s;
-      s.kind = ExplainStepKind::kPacketIn;
-      s.table_id = table_id;
-      s.detail = reason == openflow::PacketInReason::NoMatch
-                     ? "reason=no_match"
-                     : "reason=action";
-      if (packet_in_bucket_ &&
-          packet_in_bucket_->peek_available(ctx.now) < 1.0)
-        s.detail += " (would be rate-limited right now)";
-      ctx.probe.add(std::move(s));
-    }
-    return;
+std::uint32_t Switch::Classify::frame() {
+  if (!pkt->modified()) return CachedVerdict::kIngressFrame;
+  if (rewrite_pending) {
+    verdict.rewritten.push_back(pkt->serialize());
+    rewrite_pending = false;
   }
-  if (packet_in_bucket_ && !packet_in_bucket_->try_consume(1.0, ctx.now)) {
-    ctx.punt_suppressed = true;
-    ++packet_in_suppressed_;
-    SwitchMetrics::get().packet_ins_suppressed.inc();
-    ctx.verdict.cacheable = false;  // suppression is time-dependent
-    return;
-  }
-  const net::Bytes frame = ctx.pkt->serialize();
-  openflow::PacketIn pin;
-  pin.reason = reason;
-  pin.table_id = table_id;
-  pin.cookie = cookie;
-  pin.in_port = ctx.in_port;
-  pin.total_len = static_cast<std::uint16_t>(frame.size());
-  pin.buffer_id = buffer_packet(frame);
-  const std::size_t n = std::min<std::size_t>(max_len, frame.size());
-  pin.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
-  ctx.result->packet_in = std::move(pin);
-  SwitchMetrics::get().packet_ins.inc();
-  ZEN_TRACE_INSTANT("packet_in", "dataplane");
+  return static_cast<std::uint32_t>(verdict.rewritten.size() - 1);
 }
 
-void Switch::emit_to_port(PipelineContext& ctx, std::uint32_t port_no) {
+std::int32_t Switch::Classify::grown() const {
+  return static_cast<std::int32_t>(pkt->wire_size()) -
+         static_cast<std::int32_t>(size);
+}
+
+void Switch::add_punt(Classify& ctx, openflow::PacketInReason reason,
+                      std::uint8_t table_id, std::uint64_t cookie,
+                      std::uint16_t max_len) {
+  if (ctx.pkt->modified()) ctx.verdict.cacheable = false;
+  if (ctx.punted) return;
+  ctx.punted = true;
+  ctx.verdict.ops.emplace_back(
+      CachedVerdict::Punt{cookie, ctx.frame(), max_len, table_id, reason});
+  if (ctx.probe.active()) {
+    ExplainStep s;
+    s.kind = ExplainStepKind::kPacketIn;
+    s.table_id = table_id;
+    s.detail = reason == openflow::PacketInReason::NoMatch ? "reason=no_match"
+                                                           : "reason=action";
+    if (packet_in_bucket_ && packet_in_bucket_->peek_available(ctx.now) < 1.0)
+      s.detail += " (would be rate-limited right now)";
+    ctx.probe.add(std::move(s));
+  }
+}
+
+void Switch::add_output(Classify& ctx, std::uint32_t port_no) {
   const auto it = ports_.find(port_no);
   if (it == ports_.end()) {
     if (ctx.probe.active()) {
@@ -290,143 +292,92 @@ void Switch::emit_to_port(PipelineContext& ctx, std::uint32_t port_no) {
     }
     return;
   }
-  auto& state = it->second;
-  if (!state.desc.link_up) {
-    if (!ctx.dry_run) ++state.stats.tx_dropped;
-    ctx.verdict.out_ports.push_back({port_no, ctx.queue_id});
-    if (ctx.probe.active()) {
-      ExplainStep s;
-      s.kind = ExplainStepKind::kOutput;
-      s.port = port_no;
-      s.queue_id = ctx.queue_id;
-      s.detail = "link down (tx_dropped)";
-      ctx.probe.add(std::move(s));
-    }
-    return;
-  }
-  net::Bytes frame = ctx.pkt->serialize();
-  if (!ctx.dry_run) {
-    ++state.stats.tx_packets;
-    state.stats.tx_bytes += frame.size();
-  }
+  const bool up = it->second.desc.link_up;
+  ctx.verdict.ops.emplace_back(
+      CachedVerdict::Output{port_no, ctx.queue_id, ctx.frame()});
+  if (up && ctx.pkt->modified()) ctx.verdict.cacheable = false;
   if (ctx.probe.active()) {
     ExplainStep s;
     s.kind = ExplainStepKind::kOutput;
     s.port = port_no;
     s.queue_id = ctx.queue_id;
+    if (!up) s.detail = "link down (tx_dropped)";
     ctx.probe.add(std::move(s));
-  }
-  Egress& egress = ctx.result->outputs.emplace_back();
-  egress.port = port_no;
-  egress.queue_id = ctx.queue_id;
-  egress.frame = std::move(frame);
-  if (!ctx.pkt->modified()) {
-    if (ctx.meta) egress.meta = *ctx.meta;
-    ctx.verdict.out_ports.push_back({port_no, ctx.queue_id});
-  } else {
-    ctx.verdict.cacheable = false;
   }
 }
 
-void Switch::execute_normal(PipelineContext& ctx) {
+void Switch::classify_normal(Classify& ctx) {
   // NORMAL: behave as a self-learning L2 switch — the standalone fail-mode
   // data path. Learned state lives outside the flow tables, and the
   // verdict is time-dependent (learning, dedup), so never cache it.
+  std::vector<CachedVerdict::Op>& ops = ctx.verdict.ops;
   ctx.verdict.cacheable = false;
   const net::FlowKey key = ctx.pkt->flow_key(ctx.in_port);
-  if (!ctx.dry_run) normal_fib_[key.eth_src] = ctx.in_port;
+  ops.emplace_back(CachedVerdict::Learn{key.eth_src});
 
+  // apply() learns before this lookup, so a MAC this packet taught resolves
+  // to the ingress port (and floods).
+  const bool learned_here = std::any_of(ops.begin(), ops.end(), [&](const auto& op) {
+    const auto* learn = std::get_if<CachedVerdict::Learn>(&op);
+    return learn && learn->mac == key.eth_dst;
+  });
   if (const auto it = normal_fib_.find(key.eth_dst);
-      it != normal_fib_.end() && it->second != ctx.in_port) {
-    emit_to_port(ctx, it->second);
+      !learned_here && it != normal_fib_.end() && it->second != ctx.in_port) {
+    add_output(ctx, it->second);
     return;
   }
 
-  // Dry-run: report the flood set without learning or dedup-window writes
-  // (the dedup verdict is time-dependent, so the trace shows the
-  // steady-state flood behavior instead).
-  if (ctx.dry_run) {
-    for (const auto& [no, state] : ports_) {
-      if (no != ctx.in_port && state.desc.link_up) emit_to_port(ctx, no);
-    }
-    return;
-  }
-
-  // Unknown/broadcast destination: flood — but drop frames this switch
-  // already flooded inside the dedup window. A looped fabric of standalone
-  // switches would otherwise amplify every broadcast forever.
-  const std::uint64_t h = frame_hash(ctx.pkt->serialize());
-  const auto [it, inserted] = flood_recent_.try_emplace(h, ctx.now);
-  if (!inserted) {
-    if (ctx.now - it->second < kFloodDedupWindowS) {
-      ++storm_suppressed_;
-      return;
-    }
-    it->second = ctx.now;
-  }
-  if (flood_recent_.size() > kFloodTableMax) {
-    std::erase_if(flood_recent_, [&](const auto& kv) {
-      return ctx.now - kv.second >= kFloodDedupWindowS;
-    });
-  }
-  for (const auto& [no, state] : ports_) {
-    if (no != ctx.in_port && state.desc.link_up) emit_to_port(ctx, no);
-  }
+  // Unknown/broadcast destination: flood. apply() drops the flood when this
+  // switch already flooded the frame inside the dedup window; a looped
+  // fabric of standalone switches would otherwise amplify every broadcast
+  // forever.
+  const std::size_t flood = ops.size();
+  ops.emplace_back(CachedVerdict::Flood{ctx.frame(), 0});
+  classify_output(ctx, openflow::Ports::kFlood, 0, 0, 0, false);
+  std::get<CachedVerdict::Flood>(ops[flood]).outputs =
+      static_cast<std::uint32_t>(ops.size() - flood - 1);
 }
 
-void Switch::execute_output(PipelineContext& ctx, std::uint32_t port,
-                            std::uint16_t max_len, std::uint8_t table_id,
-                            std::uint64_t cookie, bool is_miss) {
+void Switch::classify_output(Classify& ctx, std::uint32_t port,
+                             std::uint16_t max_len, std::uint8_t table_id,
+                             std::uint64_t cookie, bool is_miss) {
   using openflow::Ports;
   switch (port) {
-    case Ports::kController: {
-      make_packet_in(ctx,
-                     is_miss ? openflow::PacketInReason::NoMatch
-                             : openflow::PacketInReason::Action,
-                     table_id, cookie, max_len);
-      if (!ctx.verdict.to_controller) {
-        ctx.verdict.to_controller = true;
-        ctx.verdict.controller_table = table_id;
-        ctx.verdict.controller_cookie = cookie;
-        ctx.verdict.controller_max_len = max_len;
-        ctx.verdict.miss = is_miss;
-      }
-      if (ctx.pkt->modified()) ctx.verdict.cacheable = false;
+    case Ports::kController:
+      add_punt(ctx,
+               is_miss ? openflow::PacketInReason::NoMatch
+                       : openflow::PacketInReason::Action,
+               table_id, cookie, max_len);
       break;
-    }
     case Ports::kFlood:
-      for (const auto& [no, state] : ports_) {
-        if (no != ctx.in_port && state.desc.link_up) emit_to_port(ctx, no);
-      }
-      break;
     case Ports::kAll:
       for (const auto& [no, state] : ports_) {
-        if (state.desc.link_up) emit_to_port(ctx, no);
+        if (state.desc.link_up && (port == Ports::kAll || no != ctx.in_port))
+          add_output(ctx, no);
       }
       break;
     case Ports::kInPort:
-      emit_to_port(ctx, ctx.in_port);
+      add_output(ctx, ctx.in_port);
       break;
     case Ports::kNormal:
-      execute_normal(ctx);
+      classify_normal(ctx);
       break;
     case Ports::kTable:
       // Only meaningful from PacketOut; handled there. Ignore here.
       break;
     default:
-      emit_to_port(ctx, port);
+      add_output(ctx, port);
       break;
   }
 }
 
-void Switch::execute_action_list(PipelineContext& ctx,
-                                 const openflow::ActionList& actions,
-                                 int depth) {
+void Switch::classify_actions(Classify& ctx,
+                              const openflow::ActionList& actions, int depth) {
   if (depth > kMaxActionDepth) return;
   for (const auto& action : actions) {
-    if (ctx.dropped) return;
+    if (ctx.stopped) return;
     if (const auto* out = std::get_if<openflow::OutputAction>(&action)) {
-      execute_output(ctx, out->port, out->max_len, 0, 0, false);
+      classify_output(ctx, out->port, out->max_len, 0, 0, false);
     } else if (const auto* grp = std::get_if<openflow::GroupAction>(&action)) {
       const Group* group = groups_.find(grp->group_id);
       if (!group) {
@@ -439,7 +390,6 @@ void Switch::execute_action_list(PipelineContext& ctx,
         }
         continue;
       }
-      if (!ctx.dry_run) const_cast<Group*>(group)->packet_count++;
       if (group->type == openflow::GroupType::All) {
         if (ctx.probe.active()) {
           ExplainStep s;
@@ -450,7 +400,7 @@ void Switch::execute_action_list(PipelineContext& ctx,
           ctx.probe.add(std::move(s));
         }
         for (const auto& bucket : group->buckets)
-          execute_action_list(ctx, bucket.actions, depth + 1);
+          classify_actions(ctx, bucket.actions, depth + 1);
       } else {
         const auto key = ctx.pkt->flow_key(ctx.in_port);
         const GroupTable::PortLiveFn port_live = [this](std::uint32_t port) {
@@ -483,7 +433,7 @@ void Switch::execute_action_list(PipelineContext& ctx,
           if (!bucket) s.detail += "; no live bucket (drop)";
           ctx.probe.add(std::move(s));
         }
-        if (bucket) execute_action_list(ctx, bucket->actions, depth + 1);
+        if (bucket) classify_actions(ctx, bucket->actions, depth + 1);
         // FastFailover verdicts depend on port liveness; the version bump
         // in set_port_link already invalidates cached verdicts on change.
       }
@@ -505,9 +455,9 @@ void Switch::execute_action_list(PipelineContext& ctx,
       const net::FlowKey before =
           ctx.probe.active() ? ctx.pkt->flow_key(ctx.in_port) : net::FlowKey{};
       if (!ctx.pkt->apply(action)) {
-        ctx.dropped = true;
-        ctx.result->dropped = true;
+        ctx.verdict.ops.emplace_back(CachedVerdict::Drop{});
         ctx.verdict.cacheable = false;
+        ctx.stopped = true;
         if (ctx.probe.active()) {
           ExplainStep s;
           s.kind = ExplainStepKind::kDrop;
@@ -517,6 +467,7 @@ void Switch::execute_action_list(PipelineContext& ctx,
         }
         return;
       }
+      ctx.rewrite_pending = true;
       if (ctx.probe.active()) {
         ExplainStep s;
         s.kind = ExplainStepKind::kRewrite;
@@ -530,7 +481,8 @@ void Switch::execute_action_list(PipelineContext& ctx,
   }
 }
 
-void Switch::run_pipeline(PipelineContext& ctx) {
+void Switch::classify_tables(Classify& ctx) {
+  std::vector<CachedVerdict::Op>& ops = ctx.verdict.ops;
   openflow::ActionList action_set;  // write-actions accumulate here
 
   std::uint8_t table_id = 0;
@@ -538,14 +490,12 @@ void Switch::run_pipeline(PipelineContext& ctx) {
     if (table_id >= tables_.size()) break;
     FlowTable& table = tables_[table_id];
     const net::FlowKey key = ctx.pkt->flow_key(ctx.in_port);
-    // Dry-run probes the same search core without perturbing the
-    // per-table lookup/match counters.
     FlowTable::LookupExplain lookup_explain;
     FlowEntryPtr entry =
-        ctx.dry_run ? table.find_best(key, ctx.probe.active()
-                                               ? &lookup_explain
-                                               : nullptr)
-                    : table.lookup(key);
+        ctx.count_lookups
+            ? table.lookup(key)
+            : table.find_best(key,
+                              ctx.probe.active() ? &lookup_explain : nullptr);
     if (ctx.probe.active()) {
       ExplainStep s;
       s.kind = entry ? ExplainStepKind::kTableMatch
@@ -564,45 +514,30 @@ void Switch::run_pipeline(PipelineContext& ctx) {
     }
 
     if (!entry) {
-      if (table_id == 0 && config_.default_miss == MissBehavior::PacketIn) {
-        make_packet_in(ctx, openflow::PacketInReason::NoMatch, table_id, 0,
-                       config_.packet_in_bytes);
-        if (!ctx.verdict.to_controller) {
-          ctx.verdict.to_controller = true;
-          ctx.verdict.controller_table = table_id;
-          ctx.verdict.controller_max_len = config_.packet_in_bytes;
-          ctx.verdict.miss = true;
-        }
-      } else {
-        ctx.result->dropped = ctx.result->outputs.empty() && !ctx.result->packet_in;
-      }
+      if (table_id == 0 && config_.default_miss == MissBehavior::PacketIn)
+        add_punt(ctx, openflow::PacketInReason::NoMatch, table_id, 0,
+                 config_.packet_in_bytes);
       break;
     }
-
-    // Credit the entry (cached hits credit via verdict.credited).
-    if (!ctx.dry_run) {
-      entry->packet_count++;
-      entry->byte_count += ctx.pkt->wire_size();
-      entry->last_used_at = ctx.now;
-      ctx.verdict.credited.push_back(entry);
-    }
+    ops.emplace_back(CachedVerdict::Credit{entry, ctx.grown()});
 
     const bool is_miss_entry =
         entry->priority == 0 && entry->match.field_count() == 0;
 
     std::optional<std::uint8_t> goto_table;
     for (const auto& ins : entry->instructions) {
-      if (ctx.dropped) break;
+      if (ctx.stopped) break;
       if (const auto* meter = std::get_if<openflow::MeterInstruction>(&ins)) {
-        ctx.verdict.meters.push_back({meter->meter_id,
-                                      ctx.verdict.credited.size(),
-                                      ctx.verdict.out_ports.size(),
-                                      ctx.verdict.to_controller});
-        const bool allowed =
-            ctx.dry_run
-                ? meters_.would_allow(meter->meter_id, ctx.pkt->wire_size(),
-                                      ctx.now)
-                : meters_.allow(meter->meter_id, ctx.pkt->wire_size(), ctx.now);
+        // Judged here, charged by apply(). A meter met again on this path
+        // is judged on all of its charges.
+        const CachedVerdict::Meter charge{meter->meter_id, ctx.grown()};
+        std::size_t bytes = ctx.size + charge.grown;
+        for (const CachedVerdict::Op& op : ops)
+          if (const auto* m = std::get_if<CachedVerdict::Meter>(&op);
+              m && m->meter_id == charge.meter_id)
+            bytes += ctx.size + m->grown;
+        const bool allowed = meters_.would_allow(charge.meter_id, bytes, ctx.now);
+        ops.emplace_back(charge);
         if (ctx.probe.active()) {
           ExplainStep s;
           s.kind = ExplainStepKind::kMeter;
@@ -617,8 +552,10 @@ void Switch::run_pipeline(PipelineContext& ctx) {
           ctx.probe.add(std::move(s));
         }
         if (!allowed) {
-          ctx.dropped = true;
-          ctx.result->dropped = true;
+          // Later tables are not looked up: the refusal ends the walk.
+          ops.emplace_back(CachedVerdict::Drop{});
+          ctx.verdict.cacheable = false;
+          ctx.stopped = true;
           return;
         }
       } else if (const auto* apply = std::get_if<openflow::ApplyActions>(&ins)) {
@@ -627,12 +564,12 @@ void Switch::run_pipeline(PipelineContext& ctx) {
           if (const auto* out =
                   std::get_if<openflow::OutputAction>(&apply->actions[0]);
               out && out->port == openflow::Ports::kController) {
-            execute_output(ctx, out->port, out->max_len, table_id,
-                           entry->cookie, /*is_miss=*/true);
+            classify_output(ctx, out->port, out->max_len, table_id,
+                            entry->cookie, /*is_miss=*/true);
             continue;
           }
         }
-        execute_action_list(ctx, apply->actions, 0);
+        classify_actions(ctx, apply->actions, 0);
       } else if (const auto* write = std::get_if<openflow::WriteActions>(&ins)) {
         // Merge: later writes of the same action type replace earlier ones.
         for (const auto& a : write->actions) {
@@ -651,13 +588,13 @@ void Switch::run_pipeline(PipelineContext& ctx) {
       }
     }
 
-    if (ctx.dropped) return;
+    if (ctx.stopped) return;
     if (!goto_table || *goto_table <= table_id) break;  // goto must increase
     table_id = *goto_table;
   }
 
   // Pipeline end: execute the accumulated action set (outputs last).
-  if (!ctx.dropped && !action_set.empty()) {
+  if (!action_set.empty()) {
     // Order: rewrites first, then group, then outputs (OF 1.3 ordering).
     openflow::ActionList ordered;
     for (const auto& a : action_set)
@@ -668,11 +605,107 @@ void Switch::run_pipeline(PipelineContext& ctx) {
       if (std::get_if<openflow::GroupAction>(&a)) ordered.push_back(a);
     for (const auto& a : action_set)
       if (std::get_if<openflow::OutputAction>(&a)) ordered.push_back(a);
-    execute_action_list(ctx, ordered, 0);
+    classify_actions(ctx, ordered, 0);
+  }
+}
+
+bool Switch::flood_echo(std::span<const std::uint8_t> frame, double now) {
+  const std::uint64_t h = frame_hash(frame);
+  const auto [it, inserted] = flood_recent_.try_emplace(h, now);
+  if (!inserted) {
+    if (now - it->second < kFloodDedupWindowS) {
+      ++storm_suppressed_;
+      return true;
+    }
+    it->second = now;
+  }
+  if (flood_recent_.size() > kFloodTableMax) {
+    std::erase_if(flood_recent_, [&](const auto& kv) {
+      return now - kv.second >= kFloodDedupWindowS;
+    });
+  }
+  return false;
+}
+
+bool Switch::apply(const CachedVerdict& v, double now, std::uint32_t in_port,
+                   net::Bytes& frame, const net::FrameMeta* meta,
+                   ForwardResult& result) {
+  const std::size_t size = frame.size();
+  bool held = true;
+  // An egress of the ingress frame stays empty until the frame is handed
+  // out below.
+  std::size_t last_ingress = SIZE_MAX;
+  std::size_t deduped = 0;  // outputs left of a flood the deduper dropped
+  for (const CachedVerdict::Op& op : v.ops) {
+    if (const auto* out = std::get_if<CachedVerdict::Output>(&op)) {
+      if (deduped > 0) {
+        --deduped;
+        continue;
+      }
+      const auto it = ports_.find(out->port);
+      if (it == ports_.end()) continue;
+      openflow::PortStatsEntry& stats = it->second.stats;
+      if (!it->second.desc.link_up) {
+        ++stats.tx_dropped;
+        continue;
+      }
+      ++stats.tx_packets;
+      stats.tx_bytes += frame_of(v, out->frame, frame).size();
+      Egress& egress = result.outputs.emplace_back();
+      egress.port = out->port;
+      egress.queue_id = out->queue_id;
+      if (out->frame == CachedVerdict::kIngressFrame)
+        last_ingress = result.outputs.size() - 1;
+      else
+        egress.frame = v.rewritten[out->frame];
+    } else if (const auto* credit = std::get_if<CachedVerdict::Credit>(&op)) {
+      FlowEntry& entry = *credit->entry;
+      entry.packet_count++;
+      entry.byte_count += size + credit->grown;
+      entry.last_used_at = now;
+    } else if (const auto* meter = std::get_if<CachedVerdict::Meter>(&op)) {
+      if (meters_.allow(meter->meter_id, size + meter->grown, now)) continue;
+      held = false;
+      result.dropped = true;
+      break;
+    } else if (const auto* punt = std::get_if<CachedVerdict::Punt>(&op)) {
+      // The PacketIn and its buffer copy the frame before it moves on.
+      if (packet_in_bucket_ && !packet_in_bucket_->try_consume(1.0, now)) {
+        ++packet_in_suppressed_;
+        SwitchMetrics::get().packet_ins_suppressed.inc();
+        held = false;  // suppression is time-dependent
+        continue;
+      }
+      const auto bytes = frame_of(v, punt->frame, frame);
+      result.packet_in =
+          make_packet_in(*punt, bytes, in_port, buffer_packet(bytes));
+      SwitchMetrics::get().packet_ins.inc();
+      ZEN_TRACE_INSTANT("packet_in", "dataplane");
+    } else if (const auto* learn = std::get_if<CachedVerdict::Learn>(&op)) {
+      normal_fib_[learn->mac] = in_port;
+    } else if (const auto* flood = std::get_if<CachedVerdict::Flood>(&op)) {
+      if (flood_echo(frame_of(v, flood->frame, frame), now))
+        deduped = flood->outputs;
+    } else {  // Drop
+      result.dropped = true;
+      break;
+    }
   }
 
-  if (ctx.result->outputs.empty() && !ctx.result->packet_in)
-    ctx.result->dropped = true;
+  // Every egress of the ingress frame but the last gets a copy; the last
+  // takes the frame.
+  for (std::size_t i = 0; i < result.outputs.size(); ++i) {
+    Egress& egress = result.outputs[i];
+    if (!egress.frame.empty()) continue;  // rewritten bytes
+    if (i == last_ingress)
+      egress.frame = std::move(frame);
+    else
+      egress.frame = frame;
+    if (meta) egress.meta = *meta;
+  }
+
+  if (result.outputs.empty() && !result.packet_in) result.dropped = true;
+  return held;
 }
 
 ForwardResult Switch::ingress(double now, std::uint32_t in_port,
@@ -696,9 +729,10 @@ void Switch::ingress(double now, std::uint32_t in_port, net::Bytes frame,
     result.dropped = true;
     return;
   }
+  openflow::PortStatsEntry& rx = port_it->second.stats;
   const std::size_t size = frame.size();
-  ++port_it->second.stats.rx_packets;
-  port_it->second.stats.rx_bytes += size;
+  ++rx.rx_packets;
+  rx.rx_bytes += size;
 
   // Parse once: a valid meta is the previous hop's parse of these bytes.
   // A fresh parse is kept, in place, for the slow path's MutablePacket.
@@ -706,7 +740,7 @@ void Switch::ingress(double now, std::uint32_t in_port, net::Bytes frame,
       meta.valid ? util::Result<net::ParsedPacket>(util::Error{})
                  : net::parse_packet(frame);
   if (!meta.valid && !parsed.ok()) {
-    ++port_it->second.stats.rx_dropped;
+    ++rx.rx_dropped;
     result.dropped = true;
     return;
   }
@@ -723,106 +757,39 @@ void Switch::ingress(double now, std::uint32_t in_port, net::Bytes frame,
       telemetry_ != nullptr &&
       telemetry_->on_packet(static_cast<std::uint64_t>(now * 1e9), in_port,
                             key, size);
+  const net::FrameMeta* egress_meta = telemetry_stamp ? nullptr : &here;
 
-  // Fast path: megaflow cache.
   if (const CachedVerdict* verdict = cache_.find(key, version_)) {
-    // A meter refusal cuts the verdict where the pipeline would have
-    // stopped: what came before the meter still happens.
-    std::size_t n_credited = verdict->credited.size();
-    std::size_t n_outputs = verdict->out_ports.size();
-    bool to_controller = verdict->to_controller;
-    for (const CachedVerdict::Meter& m : verdict->meters) {
-      if (!meters_.allow(m.meter_id, size, now)) {
-        n_credited = m.credited_before;
-        n_outputs = m.outputs_before;
-        to_controller = m.to_controller_before;
+    // Fast path: the cached verdict, carried out as a miss would.
+    apply(*verdict, now, in_port, frame, egress_meta, result);
+  } else {
+    // Slow path: classify a MutablePacket over a copy of the frame, apply
+    // the verdict, and cache it when it holds for the whole flow.
+    if (!parsed.ok()) {
+      parsed = net::parse_packet(frame);
+      if (!parsed.ok()) {  // a stale meta: treat the frame as malformed
+        ++rx.rx_dropped;
         result.dropped = true;
-        break;
+        return;
       }
     }
-    for (std::size_t i = 0; i < n_credited; ++i) {
-      FlowEntry& entry = *verdict->credited[i];
-      entry.packet_count++;
-      entry.byte_count += size;
-      entry.last_used_at = now;
+    MutablePacket pkt(net::Bytes(frame), std::move(parsed).value());
+    Classify ctx;
+    ctx.now = now;
+    ctx.in_port = in_port;
+    ctx.size = size;
+    ctx.pkt = &pkt;
+    bool held = false;
+    {
+      obs::ScopedTimerNs timer(SwitchMetrics::get().lookup_ns);
+      ZEN_TRACE_SCOPE("pipeline", "dataplane");
+      classify_tables(ctx);
+      held = apply(ctx.verdict, now, in_port, frame, egress_meta, result);
     }
-    // The PacketIn and its buffer copy the frame before it moves on.
-    if (to_controller && packet_in_bucket_ &&
-        !packet_in_bucket_->try_consume(1.0, now)) {
-      ++packet_in_suppressed_;
-    } else if (to_controller) {
-      openflow::PacketIn pin;
-      pin.reason = verdict->miss ? openflow::PacketInReason::NoMatch
-                                 : openflow::PacketInReason::Action;
-      pin.table_id = verdict->controller_table;
-      pin.cookie = verdict->controller_cookie;
-      pin.in_port = in_port;
-      pin.total_len = static_cast<std::uint16_t>(size);
-      pin.buffer_id = buffer_packet(frame);
-      const std::size_t n =
-          std::min<std::size_t>(verdict->controller_max_len, size);
-      pin.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
-      result.packet_in = std::move(pin);
-    }
-    for (std::size_t i = 0; i < n_outputs; ++i) {
-      const auto [out_port, queue_id] = verdict->out_ports[i];
-      const auto it = ports_.find(out_port);
-      if (it == ports_.end()) continue;
-      if (!it->second.desc.link_up) {
-        ++it->second.stats.tx_dropped;
-        continue;
-      }
-      ++it->second.stats.tx_packets;
-      it->second.stats.tx_bytes += size;
-      Egress& egress = result.outputs.emplace_back();
-      egress.port = out_port;
-      egress.queue_id = queue_id;
-    }
-    // Every egress but the last gets a copy; the last takes the frame.
-    if (!result.outputs.empty()) {
-      for (std::size_t i = 0; i + 1 < result.outputs.size(); ++i)
-        result.outputs[i].frame = frame;
-      result.outputs.back().frame = std::move(frame);
-    }
-    if (result.outputs.empty() && !result.packet_in) {
-      result.dropped = true;
-      ++port_it->second.stats.rx_dropped;
-    }
-    for (Egress& egress : result.outputs) {
-      if (telemetry_stamp)
-        net::append_telemetry_trailer(egress.frame);
-      else
-        egress.meta = here;
-    }
-    return;
+    if (held) cache_.insert(key, std::move(ctx.verdict), version_);
   }
 
-  // Slow path: full pipeline over a MutablePacket that adopts the frame.
-  if (!parsed.ok()) {
-    parsed = net::parse_packet(frame);
-    if (!parsed.ok()) {  // a stale meta: treat the frame as malformed
-      ++port_it->second.stats.rx_dropped;
-      result.dropped = true;
-      return;
-    }
-  }
-  MutablePacket pkt(std::move(frame), std::move(parsed).value());
-  PipelineContext ctx;
-  ctx.now = now;
-  ctx.in_port = in_port;
-  ctx.pkt = &pkt;
-  ctx.meta = telemetry_stamp ? nullptr : &here;
-  ctx.result = &result;
-  {
-    obs::ScopedTimerNs timer(SwitchMetrics::get().lookup_ns);
-    ZEN_TRACE_SCOPE("pipeline", "dataplane");
-    run_pipeline(ctx);
-  }
-
-  if (result.dropped && result.outputs.empty() && !result.packet_in)
-    ++port_it->second.stats.rx_dropped;
-
-  if (!ctx.dropped) cache_.insert(key, std::move(ctx.verdict), version_);
+  if (result.outputs.empty() && !result.packet_in) ++rx.rx_dropped;
   if (telemetry_stamp)
     for (Egress& egress : result.outputs)
       net::append_telemetry_trailer(egress.frame);
@@ -838,11 +805,11 @@ ForwardResult Switch::explain(double now, std::uint32_t in_port,
     trace->in_port = in_port;
   }
 
-  PipelineContext ctx;
+  Classify ctx;
   ctx.now = now;
   ctx.in_port = in_port;
-  ctx.result = &result;
-  ctx.dry_run = true;
+  ctx.size = frame.size();
+  ctx.count_lookups = false;
   ctx.probe.attach(trace);
 
   const auto port_it = ports_.find(in_port);
@@ -872,8 +839,8 @@ ForwardResult Switch::explain(double now, std::uint32_t in_port,
   ctx.pkt = &pkt;
 
   // Read-only cache probe for the narrative; the verdict below always
-  // comes from a full (dry-run) pipeline walk so the trace explains the
-  // classifier decisions even for flows the fast path would shortcut.
+  // comes from a full classification so the trace explains the classifier
+  // decisions even for flows the fast path would shortcut.
   const net::FlowKey key = pkt.flow_key(in_port);
   const std::size_t megaflow_step = trace ? trace->steps.size() : 0;
   if (ctx.probe.active()) {
@@ -887,7 +854,8 @@ ForwardResult Switch::explain(double now, std::uint32_t in_port,
     ctx.probe.add(std::move(s));
   }
 
-  run_pipeline(ctx);
+  classify_tables(ctx);
+  const CachedVerdict& v = ctx.verdict;
 
   if (trace && megaflow_step < trace->steps.size() &&
       trace->steps[megaflow_step].kind == ExplainStepKind::kMegaflow &&
@@ -895,10 +863,31 @@ ForwardResult Switch::explain(double now, std::uint32_t in_port,
     // The cache is exact-match: the "megaflow mask" a miss would install is
     // the full flow key, and only cacheable verdicts are inserted.
     trace->steps[megaflow_step].detail +=
-        ctx.verdict.cacheable && !ctx.dropped
+        v.cacheable
             ? "; miss would install an exact-match (full flow key) verdict"
             : "; verdict not cacheable (no megaflow would be installed)";
   }
+
+  // Render the verdict without applying it: the outputs that would leave,
+  // and a punt that takes no buffer slot and no rate-limit token. Meters
+  // were judged by the walk (a refusal ended it with a Drop), and the flood
+  // deduper is left out: the trace shows the steady-state flood.
+  for (const CachedVerdict::Op& op : v.ops) {
+    if (const auto* out = std::get_if<CachedVerdict::Output>(&op)) {
+      if (!ports_.at(out->port).desc.link_up) continue;
+      Egress& egress = result.outputs.emplace_back();
+      egress.port = out->port;
+      egress.queue_id = out->queue_id;
+      const auto bytes = frame_of(v, out->frame, frame);
+      egress.frame.assign(bytes.begin(), bytes.end());
+    } else if (const auto* punt = std::get_if<CachedVerdict::Punt>(&op)) {
+      result.packet_in = make_packet_in(*punt, frame_of(v, punt->frame, frame),
+                                        in_port, openflow::kNoBuffer);
+    } else if (std::holds_alternative<CachedVerdict::Drop>(op)) {
+      result.dropped = true;
+    }
+  }
+  if (result.outputs.empty() && !result.packet_in) result.dropped = true;
 
   if (result.dropped && result.outputs.empty() && !result.packet_in &&
       ctx.probe.active()) {
@@ -916,40 +905,32 @@ ForwardResult Switch::explain(double now, std::uint32_t in_port,
 ForwardResult Switch::packet_out(double now, const openflow::PacketOut& msg) {
   ForwardResult result;
 
-  net::Bytes frame;
-  if (msg.buffer_id != openflow::kNoBuffer && !buffered_.empty()) {
-    frame = buffered_[msg.buffer_id % buffered_.size()];
-  } else {
-    frame = msg.data;
-  }
-  if (frame.empty()) {
+  net::Bytes frame = msg.buffer_id != openflow::kNoBuffer
+                         ? buffered_[msg.buffer_id % buffered_.size()]
+                         : msg.data;
+  util::Result<net::ParsedPacket> parsed = net::parse_packet(frame);
+  if (!parsed.ok()) {
     result.dropped = true;
     return result;
   }
 
-  MutablePacket pkt(frame);
-  if (!pkt.ok()) {
-    result.dropped = true;
-    return result;
-  }
-
-  PipelineContext ctx;
+  // Packet-outs are one-shot: classified and applied, never cached.
+  MutablePacket pkt(net::Bytes(frame), std::move(parsed).value());
+  Classify ctx;
   ctx.now = now;
   ctx.in_port = msg.in_port;
+  ctx.size = frame.size();
   ctx.pkt = &pkt;
-  ctx.result = &result;
-  ctx.verdict.cacheable = false;  // packet-outs are one-shot
-
   for (const auto& action : msg.actions) {
     if (const auto* out = std::get_if<openflow::OutputAction>(&action);
         out && out->port == openflow::Ports::kTable) {
-      run_pipeline(ctx);
+      classify_tables(ctx);
     } else {
-      execute_action_list(ctx, {action}, 0);
+      classify_actions(ctx, {action}, 0);
     }
-    if (ctx.dropped) break;
+    if (ctx.stopped) break;
   }
-  if (result.outputs.empty() && !result.packet_in) result.dropped = true;
+  apply(ctx.verdict, now, msg.in_port, frame, nullptr, result);
   return result;
 }
 
@@ -1104,8 +1085,10 @@ ModStatus Switch::commit_bundle(std::span<const openflow::Message> members,
     // members stay bumped (cumulative observability, not rule state); the
     // per-switch eviction counter is restored because audits read it as
     // state. The version lands on a value never exposed to the cache, so
-    // megaflow entries can never alias across the rollback.
-    tables_ = std::move(tables_snap);
+    // megaflow entries can never alias across the rollback. Tables are
+    // restored in place, so references from table() stay valid.
+    for (std::size_t i = 0; i < tables_.size(); ++i)
+      tables_[i] = std::move(tables_snap[i]);
     groups_ = std::move(groups_snap);
     meters_ = std::move(meters_snap);
     vacancy_down_ = std::move(vacancy_snap);

@@ -55,13 +55,10 @@ enum class FailMode : std::uint8_t {
 };
 
 struct SwitchConfig {
-  std::uint8_t n_tables = 4;
-  LookupMode lookup_mode = LookupMode::TupleSpace;
   std::size_t cache_capacity = 65536;
   bool cache_enabled = true;
   // What a table-0 miss does when no table-miss entry is installed.
   MissBehavior default_miss = MissBehavior::PacketIn;
-  std::size_t packet_buffer_slots = 256;
   // miss_send_len: how many bytes of the frame ride inside a PacketIn.
   std::uint16_t packet_in_bytes = 128;
   // Controller-protection: max PacketIns per second the switch will emit
@@ -142,15 +139,16 @@ class Switch {
   void ingress(double now, std::uint32_t in_port, net::Bytes frame,
                const net::FrameMeta& meta, ForwardResult& out);
 
-  // Dry-run pipeline walk (ofproto/trace analog): returns the exact
-  // ForwardResult ingress() would produce for this frame right now, with
-  // zero observable side effects — no rule/port/cache counters, no meter
-  // tokens consumed, no megaflow insert, no PacketIn buffered or rate-
-  // limited, no NORMAL-mode learning. When `trace` is non-null (and
-  // observability is compiled in) every decision is appended to it as an
-  // ExplainStep. The megaflow cache is probed read-only for the trace, but
-  // the verdict always comes from a full pipeline walk so the explanation
-  // covers the classifier even for cached flows.
+  // Pipeline walk without forwarding (ofproto/trace analog): classifies
+  // the frame and renders the ForwardResult ingress() would produce right
+  // now, but never applies the verdict — no rule/port/cache counters, no
+  // meter tokens consumed (meters are judged by would_allow), no megaflow
+  // insert, no PacketIn buffered or rate-limited, no NORMAL-mode learning.
+  // When `trace` is non-null (and observability is compiled in) every
+  // decision is appended to it as an ExplainStep. The megaflow cache is
+  // probed read-only for the trace, but the verdict always comes from a
+  // full classification so the explanation covers the classifier even for
+  // cached flows.
   ForwardResult explain(double now, std::uint32_t in_port,
                         std::span<const std::uint8_t> frame,
                         ExplainTrace* trace = nullptr);
@@ -242,43 +240,60 @@ class Switch {
     openflow::PortStatsEntry stats;
   };
 
-  struct PipelineContext {
+  // One classification walk: the packet as rewritten so far and the
+  // verdict being built. The walk changes no switch state; its one write is
+  // the tables' own lookup statistics, which live walks (miss, packet-out)
+  // count and explain walks do not.
+  struct Classify {
     double now = 0;
     std::uint32_t in_port = 0;
+    std::size_t size = 0;        // ingress frame bytes
     std::uint32_t queue_id = 0;  // set by SetQueue, applies to later outputs
     MutablePacket* pkt = nullptr;
-    // Parse of the ingress frame, handed on with each egress the pipeline
-    // leaves unmodified. Null on packet-out, dry runs and sampled packets
-    // (their egresses get a telemetry trailer).
-    const net::FrameMeta* meta = nullptr;
-    ForwardResult* result = nullptr;
-    CachedVerdict verdict;  // built as we go; inserted on cacheable misses
-    bool dropped = false;
-    bool punt_suppressed = false;  // the rate limiter refused this packet's punt
-    // Dry-run mode (Switch::explain): forward decisions are computed but
-    // nothing observable changes — stats, meters, caches, buffers and
-    // learned state are all left untouched.
-    bool dry_run = false;
+    bool count_lookups = true;
+    bool rewrite_pending = false;  // a rewrite since the last snapshot
+    bool punted = false;           // one punt per packet: the first
+    bool stopped = false;          // a drop ended the walk
+    CachedVerdict verdict;
     // Step recorder; empty no-op type under ZEN_OBS_DISABLED.
     ExplainProbe probe;
+
+    // The verdict frame the packet leaves as now: the ingress frame, or a
+    // snapshot of its rewritten bytes (taken once per rewritten state).
+    std::uint32_t frame();
+    // Bytes the rewrites so far added to the packet (negative: removed).
+    std::int32_t grown() const;
   };
 
-  void run_pipeline(PipelineContext& ctx);
-  void execute_normal(PipelineContext& ctx);
+  void classify_tables(Classify& ctx);
+  void classify_actions(Classify& ctx, const openflow::ActionList& actions,
+                        int depth);
+  void classify_output(Classify& ctx, std::uint32_t port,
+                       std::uint16_t max_len, std::uint8_t table_id,
+                       std::uint64_t cookie, bool is_miss);
+  void classify_normal(Classify& ctx);
+  void add_output(Classify& ctx, std::uint32_t port_no);
+  void add_punt(Classify& ctx, openflow::PacketInReason reason,
+                std::uint8_t table_id, std::uint64_t cookie,
+                std::uint16_t max_len);
+  // Carries out a verdict for `frame`, the packet as it arrived: credits
+  // entries, charges meters and stops at a refusal, punts through the rate
+  // limiter and buffer ring, counts port tx, runs NORMAL learning and flood
+  // dedup, and hands the frame (moved into the last egress that carries
+  // it) to the outputs. Egresses of the ingress frame get `meta` when it is
+  // non-null. Returns false when a meter refused or the punt was
+  // suppressed: the verdict did not hold in full for this packet.
+  bool apply(const CachedVerdict& verdict, double now, std::uint32_t in_port,
+             net::Bytes& frame, const net::FrameMeta* meta,
+             ForwardResult& result);
+  // True (and counted) when this switch flooded `frame` inside the dedup
+  // window; otherwise records the flood.
+  bool flood_echo(std::span<const std::uint8_t> frame, double now);
   // Re-evaluates one table's vacancy state after an occupancy change and
   // queues a TableStatus when a threshold was crossed.
   void check_vacancy(std::uint8_t table_id);
   void update_occupancy_gauge();
-  void execute_action_list(PipelineContext& ctx,
-                           const openflow::ActionList& actions, int depth);
-  void execute_output(PipelineContext& ctx, std::uint32_t port,
-                      std::uint16_t max_len, std::uint8_t table_id,
-                      std::uint64_t cookie, bool is_miss);
-  void emit_to_port(PipelineContext& ctx, std::uint32_t port_no);
-  void make_packet_in(PipelineContext& ctx, openflow::PacketInReason reason,
-                      std::uint8_t table_id, std::uint64_t cookie,
-                      std::uint16_t max_len);
-  std::uint32_t buffer_packet(const net::Bytes& frame);
+  std::uint32_t buffer_packet(std::span<const std::uint8_t> frame);
 
   std::uint64_t dpid_;
   SwitchConfig config_;

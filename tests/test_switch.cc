@@ -381,6 +381,75 @@ TEST(Switch, MeterLimitsRate) {
   EXPECT_FALSE(later.dropped);
 }
 
+TEST(Switch, MeterRefusalSkipsLaterTables) {
+  // A table-0 meter ahead of goto table 1. A refused packet still credits
+  // the table-0 entry, but the walk ends at the meter: table 1 is neither
+  // looked up nor credited. The cache is off so every packet is classified.
+  Switch sw = make_switch(4, SwitchConfig{.cache_enabled = false});
+  openflow::MeterMod mm;
+  mm.command = openflow::MeterModCommand::Add;
+  mm.meter_id = 1;
+  mm.rate_kbps = 8;    // 1000 bytes/s
+  mm.burst_kbits = 8;  // 1000-byte bucket
+  ASSERT_TRUE(sw.meter_mod(mm).ok);
+  openflow::FlowMod mod;
+  mod.table_id = 0;
+  mod.priority = 10;
+  mod.instructions = {openflow::MeterInstruction{1}, openflow::GotoTable{1}};
+  ASSERT_TRUE(sw.flow_mod(mod, 0).ok);
+  install_output_rule(sw, Match(), 2, 10, 1);
+  const FlowEntry& first = *sw.table(0).entries().front();
+  const FlowEntry& second = *sw.table(1).entries().front();
+
+  // Drain the bucket at t=0; a passing packet is looked up in both tables.
+  const net::Bytes frame = udp_frame();
+  ForwardResult result = sw.ingress(0.0, 1, frame);
+  ASSERT_FALSE(result.dropped);
+  EXPECT_EQ(sw.table(1).lookup_count(), 1u);
+  for (int i = 0; i < 100 && !result.dropped; ++i)
+    result = sw.ingress(0.0, 1, frame);
+  ASSERT_TRUE(result.dropped);
+
+  const std::uint64_t first_packets = first.packet_count;
+  const std::uint64_t second_packets = second.packet_count;
+  const std::uint64_t second_lookups = sw.table(1).lookup_count();
+  const std::uint64_t second_matches = sw.table(1).matched_count();
+  result = sw.ingress(0.0, 1, frame);
+  EXPECT_TRUE(result.dropped);
+  EXPECT_TRUE(result.outputs.empty());
+  EXPECT_EQ(first.packet_count, first_packets + 1);
+  EXPECT_EQ(second.packet_count, second_packets);
+  EXPECT_EQ(sw.table(1).lookup_count(), second_lookups);
+  EXPECT_EQ(sw.table(1).matched_count(), second_matches);
+}
+
+TEST(Switch, BundleRollbackKeepsTableReferencesValid) {
+  // A failing bundle restores each table in place: a reference taken
+  // before the commit still names the live table and reads the restored
+  // rules.
+  Switch sw = make_switch(4, SwitchConfig{.table_capacity = 2});
+  install_output_rule(sw, Match().eth_dst(kDstMac), 2);
+  FlowTable& table = sw.table(0);
+  const FlowTable* const before = &table;
+
+  std::vector<openflow::Message> members;
+  for (const std::uint32_t port : {3u, 4u}) {
+    openflow::FlowMod add;
+    add.priority = 20;
+    add.match.in_port(port);
+    add.instructions = openflow::output_to(1);
+    members.emplace_back(add);
+  }
+  const ModStatus status = sw.commit_bundle(members, 0);
+  ASSERT_FALSE(status.ok);  // the second Add overflows the table
+  EXPECT_EQ(status.error_code, openflow::flow_mod_failed_code::kTableFull);
+
+  ASSERT_EQ(&sw.table(0), before);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_TRUE(table.contains(Match().eth_dst(kDstMac), 10));
+  EXPECT_FALSE(table.contains(Match().in_port(3), 20));
+}
+
 TEST(Switch, PuntToControllerWithBuffering) {
   Switch sw = make_switch();
   openflow::FlowMod mod;
@@ -451,6 +520,31 @@ TEST(Switch, CacheCreditsEntryStats) {
   ASSERT_EQ(stats.entries.size(), 1u);
   EXPECT_EQ(stats.entries[0].packet_count, 5u);
   EXPECT_EQ(stats.entries[0].byte_count, 5 * udp_frame().size());
+}
+
+TEST(Switch, CreditsCountTheRewrittenPacket) {
+  // Table 0 pushes a VLAN tag and goes to table 1, whose entry drops. The
+  // verdict is cacheable, and cached or not, table 1 credits the tagged
+  // packet (4 bytes longer) and table 0 the packet as it arrived.
+  for (const bool cache : {true, false}) {
+    Switch sw = make_switch(4, SwitchConfig{.cache_enabled = cache});
+    openflow::FlowMod push;
+    push.priority = 10;
+    push.instructions = {
+        openflow::ApplyActions{{openflow::PushVlanAction{100, 0}}},
+        openflow::GotoTable{1}};
+    ASSERT_TRUE(sw.flow_mod(push, 0).ok);
+    openflow::FlowMod drop;
+    drop.table_id = 1;
+    drop.priority = 10;
+    ASSERT_TRUE(sw.flow_mod(drop, 0).ok);
+
+    for (int i = 0; i < 3; ++i) EXPECT_TRUE(sw.ingress(0, 1, udp_frame()).dropped);
+    EXPECT_EQ(sw.cache().size(), cache ? 1u : 0u);
+    const std::size_t size = udp_frame().size();
+    EXPECT_EQ(sw.table(0).entries().front()->byte_count, 3 * size);
+    EXPECT_EQ(sw.table(1).entries().front()->byte_count, 3 * (size + 4));
+  }
 }
 
 TEST(Switch, CacheInvalidatedByFlowMod) {
@@ -1163,9 +1257,14 @@ class CacheOracle {
         std::vector<std::uint8_t>(rng_.next_bool(0.5) ? 3 : 200, 0x5a));
     const auto in_port = static_cast<std::uint32_t>(1 + rng_.next_below(3));
     const net::FrameMeta meta = upstream_meta(bytes);
+    // Explain is the third side: it must predict the uncached ingress.
+    const ForwardResult predicted = uncached_.explain(now_, in_port, bytes);
+    const std::uint64_t suppressed = uncached_.packet_in_suppressed();
     ForwardResult a, b;
     cached_.ingress(now_, in_port, net::Bytes(bytes), meta, a);
     uncached_.ingress(now_, in_port, net::Bytes(bytes), meta, b);
+    expect_predicted(predicted, b,
+                     uncached_.packet_in_suppressed() != suppressed);
     EXPECT_EQ(a.dropped, b.dropped);
     EXPECT_EQ(a.in_port, b.in_port);
     EXPECT_EQ(a.packet_in, b.packet_in);
@@ -1175,6 +1274,29 @@ class CacheOracle {
       EXPECT_EQ(a.outputs[i].queue_id, b.outputs[i].queue_id);
       EXPECT_EQ(a.outputs[i].frame, b.outputs[i].frame);
     }
+  }
+
+  // Explain's outputs (port, queue, bytes) are the ingress's; so is its
+  // punt, but for the buffer id, unless the rate limiter refused it.
+  static void expect_predicted(const ForwardResult& predicted,
+                               const ForwardResult& actual,
+                               bool punt_suppressed) {
+    ASSERT_EQ(predicted.outputs.size(), actual.outputs.size());
+    for (std::size_t i = 0; i < actual.outputs.size(); ++i) {
+      EXPECT_EQ(predicted.outputs[i].port, actual.outputs[i].port);
+      EXPECT_EQ(predicted.outputs[i].queue_id, actual.outputs[i].queue_id);
+      EXPECT_EQ(predicted.outputs[i].frame, actual.outputs[i].frame);
+    }
+    if (punt_suppressed) return;
+    EXPECT_EQ(predicted.dropped, actual.dropped);
+    ASSERT_EQ(predicted.packet_in.has_value(), actual.packet_in.has_value());
+    if (!actual.packet_in) return;
+    EXPECT_EQ(predicted.packet_in->reason, actual.packet_in->reason);
+    EXPECT_EQ(predicted.packet_in->table_id, actual.packet_in->table_id);
+    EXPECT_EQ(predicted.packet_in->cookie, actual.packet_in->cookie);
+    EXPECT_EQ(predicted.packet_in->in_port, actual.packet_in->in_port);
+    EXPECT_EQ(predicted.packet_in->total_len, actual.packet_in->total_len);
+    EXPECT_EQ(predicted.packet_in->data, actual.packet_in->data);
   }
 
   // Every rule's identity and counters, in a canonical order.
